@@ -38,7 +38,6 @@
 //                   nonzero rate meters admission with a token bucket;
 //                   see DESIGN.md §12). Unlisted tenants use defaults
 //                   (weight 1, unmetered).
-//   --poll          force the poll(2) backend instead of epoll
 //   --trace         enable per-request tracing (trace ids join client and
 //                   server spans; see README "Serving over TCP")
 //
@@ -75,7 +74,7 @@ int usage() {
       "[--queue-deadline-ms N] [--idle-timeout-ms N] [--drain-timeout-ms N] "
       "[--max-payload N] [--max-batch-payload N] "
       "[--metrics-out F] [--tenant ID[:WEIGHT[:RATE[:BURST[:MAXINFL]]]]]... "
-      "[--poll] [--trace]\n");
+      "[--trace]\n");
   return 2;
 }
 
@@ -158,7 +157,6 @@ int main(int argc, char** argv) {
       else if (arg == "--metrics-out") metrics_out = next();
       else if (arg == "--tenant")
         config.tenants.push_back(parseTenantSpec(next()));
-      else if (arg == "--poll") config.use_epoll = false;
       else if (arg == "--trace") trace = true;
       else return usage();
     } catch (const std::exception& e) {

@@ -130,14 +130,4 @@ std::vector<ComponentSchedule> scheduleComponents(
   return out;
 }
 
-std::vector<ComponentSchedule> scheduleComponents(
-    const dag::Digraph& reduced, Decomposition& decomposition,
-    const ScheduleOptions& options) {
-  ScheduleRequest request;
-  request.reduced = &reduced;
-  request.decomposition = &decomposition;
-  request.options = options;
-  return scheduleComponents(request);
-}
-
 }  // namespace prio::core

@@ -88,11 +88,4 @@ struct ComponentSchedule {
 [[nodiscard]] std::vector<ComponentSchedule> scheduleComponents(
     const ScheduleRequest& request);
 
-/// DEPRECATED shim (pre-ScheduleRequest API): builds a ScheduleRequest
-/// and forwards. Scheduled for removal; see PRIO_API_VERSION.
-[[deprecated("build a ScheduleRequest and call scheduleComponents(request)")]]
-[[nodiscard]] std::vector<ComponentSchedule> scheduleComponents(
-    const dag::Digraph& reduced, Decomposition& decomposition,
-    const ScheduleOptions& options = {});
-
 }  // namespace prio::core

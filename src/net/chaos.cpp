@@ -342,12 +342,14 @@ struct ChaosProxy::Impl {
 
   bool killConn(Conn& c, bool reset, bool count) {
     if (reset) {
-      closeWithReset(c.client);
-      closeWithReset(c.upstream);
+      // Counted before the RST goes out: a peer that sees the reset must
+      // also see it in stats().
       if (count) {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.resets_injected;
       }
+      closeWithReset(c.client);
+      closeWithReset(c.upstream);
     } else {
       c.client.reset();
       c.upstream.reset();

@@ -165,12 +165,6 @@ std::uint64_t Client::sendFrame(FrameType type, PayloadKind kind,
   PRIO_CHECK_MSG(fd_.valid(), "client is not connected");
   Frame frame;
   frame.type = type;
-  // Text singles stay on the v2 layout so the bytes (and pre-v3 server
-  // interop) are unchanged; only frames that need the kind byte or a
-  // batch type pay the v3 header.
-  const bool needs_v3 =
-      type != FrameType::kRequest || kind != PayloadKind::kDagmanText;
-  frame.version = needs_v3 ? kVersion3 : kVersion;
   frame.payload_kind = kind;
   frame.request_id = request_id != 0 ? request_id : next_request_id_++;
   frame.trace_id = trace_id;

@@ -4,8 +4,8 @@
 // returns immediately with its request id; receive() blocks for the next
 // response frame. Because the two are independent, callers pipeline
 // freely: send k requests back to back, then drain k responses and match
-// them up by the echoed request id (the server preserves per-connection
-// submission order, but matching by id is the contract).
+// them up by the echoed request id. Replies arrive in completion order,
+// not submission order.
 //
 // connect() retries refused connections with seeded exponential backoff
 // (util/retry.h) — the natural race when a test or script starts the
@@ -53,7 +53,7 @@ struct ClientOptions {
   /// read path behind priod_client --timeout-ms.
   double request_timeout_s = 0.0;
   /// Whole-request deadline stamped on every request frame in
-  /// milliseconds (0 = none). Rides the v2 kFlagDeadline field; the
+  /// milliseconds (0 = none). Rides the kFlagDeadline field; the
   /// server sheds the request kExpired once the budget is spent.
   std::uint32_t deadline_ms = 0;
 };
@@ -72,11 +72,11 @@ struct Response {
   Status status = Status::kOk;
   /// The server-side trace id (the adopted client id when one was sent).
   std::uint64_t trace_id = 0;
-  /// The tenant the request was billed to (echoed; 0 from v1 servers).
+  /// The tenant the request was billed to (echoed).
   std::uint32_t tenant = 0;
   /// What the payload encodes on kOk/kDegraded: instrumented DAGMan text
-  /// or a binary BPRI priority block (always kDagmanText from pre-v3
-  /// servers and for error messages).
+  /// or a binary BPRI priority block (always kDagmanText for error
+  /// messages).
   PayloadKind kind = PayloadKind::kDagmanText;
   /// True for kBatchResponse frames: the payload is a batch envelope —
   /// read it through result().items rather than directly.
@@ -108,11 +108,6 @@ struct Response {
   [[nodiscard]] bool hasOutput() const {
     return status == Status::kOk || status == Status::kDegraded;
   }
-  /// Pre-v3 spelling of result().usable for single text responses.
-  [[deprecated("use result().usable")]] [[nodiscard]] bool usableOutput()
-      const {
-    return hasOutput() && !payload.empty();
-  }
 };
 
 class Client {
@@ -137,14 +132,13 @@ class Client {
   std::uint64_t send(const std::string& dag_text, std::uint64_t trace_id = 0,
                      std::uint64_t request_id = 0);
 
-  /// send() for a typed payload: kDagmanText payloads go out exactly
-  /// like send() (a v2 frame, so pre-v3 servers interoperate); a
-  /// kBinaryCsr payload rides a v3 frame with its kind byte set.
+  /// send() for a typed payload: the frame's payload_kind byte carries
+  /// `kind`.
   std::uint64_t sendPayload(PayloadKind kind, const std::string& payload,
                             std::uint64_t trace_id = 0,
                             std::uint64_t request_id = 0);
 
-  /// Encodes `items` as one kBatchRequest envelope (v3) and writes it;
+  /// Encodes `items` as one kBatchRequest envelope and writes it;
   /// returns the request id correlating the single kBatchResponse that
   /// answers all items. Throws util::Error when the envelope exceeds
   /// the batch payload cap.
@@ -153,10 +147,8 @@ class Client {
                             std::uint64_t request_id = 0);
 
   /// The raw frame hook underneath send()/sendPayload()/submitBatch():
-  /// writes one frame of the given type/kind. Text kRequest frames
-  /// encode as v2 (byte-identical to historical clients); anything
-  /// needing the kind byte or a batch type encodes as v3. The replay
-  /// path of reconnecting wrappers.
+  /// writes one frame of the given type/kind. The replay path of
+  /// reconnecting wrappers.
   std::uint64_t sendFrame(FrameType type, PayloadKind kind,
                           const std::string& payload,
                           std::uint64_t trace_id = 0,

@@ -1,6 +1,6 @@
 #include "net/protocol.h"
 
-#include <cstring>
+#include <utility>
 
 #include "util/check.h"
 
@@ -53,29 +53,9 @@ void encodeFrame(const Frame& frame, std::string& out,
                  "frame payload " << frame.payload.size()
                                   << " bytes exceeds the " << max_payload
                                   << "-byte cap");
-  PRIO_CHECK_MSG(
-      frame.version == kVersion || frame.version == kVersionLegacy ||
-          frame.version == kVersion3,
-      "cannot encode unknown protocol version "
-          << static_cast<int>(frame.version));
-  // A v1 frame has no tenant field; silently dropping a nonzero tenant
-  // would mis-bill the request, so it is a caller bug. Same for the
-  // deadline: a v1 peer would treat the budget bytes as payload.
-  PRIO_CHECK_MSG(frame.version != kVersionLegacy || frame.tenant == 0,
-                 "a v1 frame cannot carry tenant " << frame.tenant);
-  PRIO_CHECK_MSG(frame.version != kVersionLegacy || frame.deadline_ms == 0,
-                 "a v1 frame cannot carry a deadline");
-  // payload_kind and the batch frame types are v3 additions; an older
-  // peer would misread the header, so encoding them pre-v3 is a caller
-  // bug, not a silent downgrade.
-  PRIO_CHECK_MSG(frame.version == kVersion3 ||
-                     frame.payload_kind == PayloadKind::kDagmanText,
-                 "a pre-v3 frame cannot carry payload kind "
-                     << static_cast<int>(frame.payload_kind));
-  const bool batch = frame.type == FrameType::kBatchRequest ||
-                     frame.type == FrameType::kBatchResponse;
-  PRIO_CHECK_MSG(frame.version == kVersion3 || !batch,
-                 "a pre-v3 frame cannot carry a batch");
+  PRIO_CHECK_MSG(frame.version == kVersion3,
+                 "cannot encode protocol version "
+                     << static_cast<int>(frame.version));
   PRIO_CHECK_MSG(static_cast<std::uint8_t>(frame.payload_kind) <=
                      kMaxPayloadKind,
                  "unknown payload kind "
@@ -84,20 +64,18 @@ void encodeFrame(const Frame& frame, std::string& out,
                  "reserved flag bits set: " << static_cast<int>(frame.flags));
   const std::uint8_t flags =
       frame.deadline_ms > 0 ? kFlagDeadline : std::uint8_t{0};
-  out.reserve(out.size() + headerSizeOf(frame.version) +
-              (flags & kFlagDeadline ? 4 : 0) + frame.payload.size());
+  out.reserve(out.size() + kHeaderSize + (flags & kFlagDeadline ? 4 : 0) +
+              frame.payload.size());
   putU32(out, kMagic);
-  out.push_back(static_cast<char>(frame.version));
+  out.push_back(static_cast<char>(kVersion3));
   out.push_back(static_cast<char>(frame.type));
   out.push_back(static_cast<char>(frame.status));
   out.push_back(static_cast<char>(flags));
   putU64(out, frame.request_id);
   putU64(out, frame.trace_id);
-  if (frame.version != kVersionLegacy) putU32(out, frame.tenant);
-  if (frame.version == kVersion3) {
-    out.push_back(static_cast<char>(frame.payload_kind));
-    out.append(3, '\0');  // reserved
-  }
+  putU32(out, frame.tenant);
+  out.push_back(static_cast<char>(frame.payload_kind));
+  out.append(3, '\0');  // reserved
   putU32(out, static_cast<std::uint32_t>(frame.payload.size()));
   if (flags & kFlagDeadline) putU32(out, frame.deadline_ms);
   out.append(frame.payload);
@@ -115,88 +93,56 @@ void FrameDecoder::feed(const char* data, std::size_t n) {
 
 FrameDecoder::Result FrameDecoder::next(Frame& out) {
   if (failed_) return Result::kError;
-  // The first 28 bytes are common to all versions (v2 appends tenant_id,
-  // v3 additionally payload_kind, before payload_len), so the fixed
-  // fields validate before the version-dependent tail is even buffered.
-  if (buf_.size() - pos_ < kHeaderSizeV1) return Result::kNeedMore;
+  // The first 8 bytes (magic, version, type, status, flags) validate
+  // before the rest of the header is buffered, so a peer speaking
+  // another version fails fast even when its frame is shorter than ours.
+  if (buf_.size() - pos_ < 8) return Result::kNeedMore;
 
+  const auto fail = [this](std::string why) {
+    failed_ = true;
+    error_ = std::move(why);
+    return Result::kError;
+  };
   const auto* h = reinterpret_cast<const unsigned char*>(buf_.data() + pos_);
-  const std::uint32_t magic = getU32(h);
-  if (magic != kMagic) {
-    failed_ = true;
-    error_ = "bad magic";
-    return Result::kError;
-  }
+  if (getU32(h) != kMagic) return fail("bad magic");
   const std::uint8_t version = h[4];
-  if (version != kVersion && version != kVersionLegacy &&
-      version != kVersion3) {
-    failed_ = true;
-    error_ = "unsupported protocol version " + std::to_string(version);
-    return Result::kError;
+  if (version != kVersion3) {
+    return fail("unsupported protocol version " + std::to_string(version));
   }
   const std::uint8_t type = h[5];
   if (type < static_cast<std::uint8_t>(FrameType::kRequest) ||
       type > static_cast<std::uint8_t>(FrameType::kBatchResponse)) {
-    failed_ = true;
-    error_ = "unknown frame type " + std::to_string(type);
-    return Result::kError;
+    return fail("unknown frame type " + std::to_string(type));
   }
   const bool batch =
       type == static_cast<std::uint8_t>(FrameType::kBatchRequest) ||
       type == static_cast<std::uint8_t>(FrameType::kBatchResponse);
-  if (batch && version != kVersion3) {
-    failed_ = true;
-    error_ = "batch frame on protocol version " + std::to_string(version);
-    return Result::kError;
-  }
   const std::uint8_t status = h[6];
   if (status > static_cast<std::uint8_t>(Status::kExpired)) {
-    failed_ = true;
-    error_ = "unknown status " + std::to_string(status);
-    return Result::kError;
+    return fail("unknown status " + std::to_string(status));
   }
   const std::uint8_t flags = h[7];
-  if ((flags & ~kKnownFlags) != 0) {
-    failed_ = true;
-    error_ = "nonzero reserved flags";
-    return Result::kError;
+  if ((flags & ~kKnownFlags) != 0) return fail("nonzero reserved flags");
+  if (buf_.size() - pos_ < kHeaderSize) return Result::kNeedMore;
+  const std::uint8_t kind = h[28];
+  if (kind > kMaxPayloadKind) {
+    return fail("unknown payload kind " + std::to_string(kind));
   }
-  if (version == kVersionLegacy && flags != 0) {
-    // v1 predates every flag; an old peer setting bits is corruption.
-    failed_ = true;
-    error_ = "v1 frame with flags set";
-    return Result::kError;
-  }
-  const std::size_t header_size = headerSizeOf(version);
-  if (buf_.size() - pos_ < header_size) return Result::kNeedMore;
-  std::uint8_t kind = 0;
-  if (version == kVersion3) {
-    kind = h[28];
-    if (kind > kMaxPayloadKind) {
-      failed_ = true;
-      error_ = "unknown payload kind " + std::to_string(kind);
-      return Result::kError;
-    }
-    if (h[29] != 0 || h[30] != 0 || h[31] != 0) {
-      failed_ = true;
-      error_ = "nonzero reserved header bytes";
-      return Result::kError;
-    }
+  if (h[29] != 0 || h[30] != 0 || h[31] != 0) {
+    return fail("nonzero reserved header bytes");
   }
   // The length is validated BEFORE waiting for the payload, so a corrupt
   // prefix fails fast instead of stalling the connection forever. Batch
   // frames get their own cap — the type byte was read above, so the
   // right limit gates the right frames.
-  const std::uint32_t len = getU32(h + header_size - 4);
+  const std::uint32_t len = getU32(h + 32);
   const std::uint32_t cap = batch ? max_batch_payload_ : max_payload_;
   if (len > cap) {
-    failed_ = true;
-    error_ = "payload of " + std::to_string(len) + " bytes exceeds the " +
-             std::to_string(cap) + "-byte cap";
-    return Result::kError;
+    return fail("payload of " + std::to_string(len) + " bytes exceeds the " +
+                std::to_string(cap) + "-byte cap");
   }
   const std::size_t extra = (flags & kFlagDeadline) ? 4 : 0;
-  if (buf_.size() - pos_ < header_size + extra + len) return Result::kNeedMore;
+  if (buf_.size() - pos_ < kHeaderSize + extra + len) return Result::kNeedMore;
 
   out.version = version;
   out.type = static_cast<FrameType>(type);
@@ -204,11 +150,11 @@ FrameDecoder::Result FrameDecoder::next(Frame& out) {
   out.flags = flags;
   out.request_id = getU64(h + 8);
   out.trace_id = getU64(h + 16);
-  out.tenant = version == kVersionLegacy ? 0 : getU32(h + 24);
+  out.tenant = getU32(h + 24);
   out.payload_kind = static_cast<PayloadKind>(kind);
-  out.deadline_ms = (flags & kFlagDeadline) ? getU32(h + header_size) : 0;
-  out.payload.assign(buf_, pos_ + header_size + extra, len);
-  pos_ += header_size + extra + len;
+  out.deadline_ms = (flags & kFlagDeadline) ? getU32(h + kHeaderSize) : 0;
+  out.payload.assign(buf_, pos_ + kHeaderSize + extra, len);
+  pos_ += kHeaderSize + extra + len;
   return Result::kFrame;
 }
 

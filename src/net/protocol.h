@@ -1,12 +1,12 @@
 // The priod wire protocol: length-prefixed binary frames over TCP.
 //
-// Version 3 (current) frames are a fixed 36-byte little-endian header
-// followed by an opaque payload (DESIGN.md §11/§12/§15 have the full
-// tables):
+// Every frame is a fixed 36-byte little-endian header followed by an
+// opaque payload (DESIGN.md §11 has the table):
 //
 //   offset  size  field
 //        0     4  magic         0x4F495250 ("PRIO" as ASCII bytes)
-//        4     1  version       3 (kVersion3)
+//        4     1  version       3 (kVersion3); any other value is a
+//                               protocol error
 //        5     1  type          FrameType (request / response / batch)
 //        6     1  status        Status (responses; 0 on requests)
 //        7     1  flags         bit 0 = kFlagDeadline; other bits
@@ -22,30 +22,24 @@
 //       29     3  reserved      must be 0
 //       32     4  payload_len   bytes of payload following the header
 //
-// When kFlagDeadline is set (v2/v3 requests only), a 4-byte
-// little-endian deadline_ms field follows the header, BEFORE the
-// payload: the whole-request budget in milliseconds, measured from the
-// instant the client encoded the frame. The server decrements it by
-// observed queue wait and sheds the request (Status::kExpired) once the
-// budget is gone, so a deadline crosses the process boundary instead of
-// dying at the socket. payload_len still counts only payload bytes.
+// When kFlagDeadline is set on a request, a 4-byte little-endian
+// deadline_ms field follows the header, BEFORE the payload: the
+// whole-request budget in milliseconds, measured from the instant the
+// client encoded the frame. The server decrements it by observed queue
+// wait and sheds the request (Status::kExpired) once the budget is gone,
+// so a deadline crosses the process boundary instead of dying at the
+// socket. payload_len still counts only payload bytes.
 //
-// Version 2 frames are the same layout without the payload_kind word: a
-// 32-byte header with payload_len at offset 28, always carrying DAGMan
-// text. Version 1 (pre-tenant) frames additionally drop the tenant_id
-// field: a 28-byte header with payload_len at offset 24. The decoder
-// accepts all three — per frame — and the encoder emits whichever
-// version Frame::version names, so the server can answer a v1 client
-// with frames its old decoder parses. Only unknown versions are a
-// protocol error.
+// Replies match requests by request_id only; a server answers pipelined
+// requests in completion order, not submission order.
 //
 // Single-request payloads carry one dag in the payload_kind encoding
 // (kDagmanText: DAGMan input-file text; kBinaryCsr: the BDAG layout in
 // dag/csr.h). Response payloads carry the instrumented DAGMan text or
 // BPRI priority table (kOk / kDegraded) or an error message (everything
-// else). kBatchRequest/kBatchResponse frames (v3 only) carry a batch
-// envelope — many dags per round-trip with a per-item status in the
-// reply; see encodeBatchRequest() below. Payloads above the decoder's
+// else). kBatchRequest/kBatchResponse frames carry a batch envelope —
+// many dags per round-trip with a per-item status in the reply; see
+// encodeBatchRequest() below. Payloads above the decoder's
 // cap are a protocol error — the peer replies Status::kProtocolError
 // and closes, so a corrupt length prefix can never make the server
 // buffer gigabytes. Batch frames get their own (larger) cap so a batch
@@ -63,47 +57,31 @@
 namespace prio::net {
 
 inline constexpr std::uint32_t kMagic = 0x4F495250u;  // "PRIO"
-/// Default version for plain text requests: v2 added the tenant_id
-/// header field. Kept as the single-request default so v2 golden bytes
-/// (and every pre-v3 peer) stay stable.
-inline constexpr std::uint8_t kVersion = 2;
-/// The pre-tenant protocol, still fully supported for old clients.
-inline constexpr std::uint8_t kVersionLegacy = 1;
-/// v3 added payload_kind (typed payloads) and the batch frame types.
+/// The one protocol version (the header byte every frame carries).
 inline constexpr std::uint8_t kVersion3 = 3;
-/// v2 header size; kHeaderSizeV1 / kHeaderSizeV3 are the other layouts.
-inline constexpr std::size_t kHeaderSize = 32;
-inline constexpr std::size_t kHeaderSizeV1 = 28;
-inline constexpr std::size_t kHeaderSizeV3 = 36;
+inline constexpr std::size_t kHeaderSize = 36;
 /// Default payload cap (64 MiB) — larger than any plausible DAGMan file
 /// (SDSS, the paper's biggest dag, serializes to ~4 MiB). Configurable
-/// per server/client since v3; batch frames get a separate cap.
+/// per server/client; batch frames get a separate cap.
 inline constexpr std::uint32_t kMaxPayload = 64u << 20;
-/// Flag bit: a 4-byte deadline_ms field follows the v2/v3 header.
+/// Flag bit: a 4-byte deadline_ms field follows the header.
 inline constexpr std::uint8_t kFlagDeadline = 0x01;
 /// All flag bits the decoder understands; anything else is a protocol
 /// error (reserved bits must be zero until a version assigns them).
 inline constexpr std::uint8_t kKnownFlags = kFlagDeadline;
 
-/// Header bytes of a frame of this version.
-[[nodiscard]] constexpr std::size_t headerSizeOf(std::uint8_t version) {
-  return version == kVersionLegacy ? kHeaderSizeV1
-         : version == kVersion3    ? kHeaderSizeV3
-                                   : kHeaderSize;
-}
-
 enum class FrameType : std::uint8_t {
   kRequest = 1,
   kResponse = 2,
-  /// v3 only: payload is a batch envelope of independent dag items.
+  /// Payload is a batch envelope of independent dag items.
   kBatchRequest = 3,
-  /// v3 only: payload is a batch envelope of per-item replies.
+  /// Payload is a batch envelope of per-item replies.
   kBatchResponse = 4,
 };
 
 /// How the payload bytes of a frame (or batch item) are encoded.
-/// Mirrors service::PayloadKind; rides the wire as the v3 payload_kind
-/// header byte. v1/v2 frames are implicitly kDagmanText.
+/// Mirrors service::PayloadKind; rides the wire as the payload_kind
+/// header byte.
 enum class PayloadKind : std::uint8_t {
   kDagmanText = 0,  ///< DAGMan input-file text (replies: instrumented text)
   kBinaryCsr = 1,   ///< BDAG binary dag (replies: BPRI priority table)
@@ -127,40 +105,34 @@ enum class Status : std::uint8_t {
 [[nodiscard]] const char* statusName(Status s);
 
 struct Frame {
-  /// Wire version this frame was decoded from / will encode to. The
-  /// server echoes the request's version in its response so a v1 client
-  /// never sees a v2 frame (nor a v2 client a v3 one).
-  std::uint8_t version = kVersion;
+  /// The header's version byte. kVersion3 is the only value that
+  /// encodes or decodes.
+  std::uint8_t version = kVersion3;
   FrameType type = FrameType::kRequest;
   Status status = Status::kOk;
   std::uint8_t flags = 0;
   std::uint64_t request_id = 0;
   std::uint64_t trace_id = 0;
-  /// v2+ only on the wire; a v1 frame decodes to (and must encode from)
-  /// tenant 0.
   std::uint32_t tenant = 0;
   /// Whole-request budget in milliseconds (0 = none). Rides the wire as
-  /// the optional kFlagDeadline field; v2+ only, like tenant.
+  /// the optional kFlagDeadline field.
   std::uint32_t deadline_ms = 0;
-  /// v3 only on the wire; v1/v2 frames decode to (and must encode from)
-  /// kDagmanText. Meaningless on batch frames (each item carries its
-  /// own kind inside the envelope).
+  /// Meaningless on batch frames (each item carries its own kind inside
+  /// the envelope).
   PayloadKind payload_kind = PayloadKind::kDagmanText;
   std::string payload;
 };
 
-/// Appends the encoded frame to `out`, in the layout Frame::version
-/// names. The kFlagDeadline bit is derived from deadline_ms — callers
-/// never set `flags` themselves. Throws util::Error when the payload
-/// exceeds `max_payload`, when the version is unknown, when a nonzero
-/// tenant or deadline is encoded into a v1 frame (which cannot carry
-/// them), when a non-text payload_kind or a batch frame type is encoded
-/// into a pre-v3 frame, or when reserved flag bits are set.
+/// Appends the encoded frame to `out`. The kFlagDeadline bit is derived
+/// from deadline_ms — callers never set `flags` themselves. Throws
+/// util::Error when the payload exceeds `max_payload`, when
+/// Frame::version is not kVersion3, when the payload kind is unknown, or
+/// when reserved flag bits are set.
 void encodeFrame(const Frame& frame, std::string& out,
                  std::uint32_t max_payload = kMaxPayload);
 
 // ---------------------------------------------------------------------
-// Batch envelope (v3, FrameType::kBatchRequest / kBatchResponse).
+// Batch envelope (FrameType::kBatchRequest / kBatchResponse).
 //
 // Request payload:   u32 count, then per item:
 //                      u8 kind (PayloadKind), u32 len, len bytes
@@ -221,11 +193,10 @@ struct BatchItemReply {
 
 /// Incremental frame parser for a byte stream. Feed bytes as they
 /// arrive; next() yields complete frames without copying the stream
-/// twice. All three protocol versions are accepted, per frame. A
-/// protocol violation (bad magic, unknown version/type/kind, nonzero
-/// reserved bits, oversized payload) latches the decoder into the error
-/// state — the connection is beyond recovery because frame boundaries
-/// are lost.
+/// twice. A protocol violation (bad magic, unknown version/type/kind,
+/// nonzero reserved bits, oversized payload) latches the decoder into
+/// the error state — the connection is beyond recovery because frame
+/// boundaries are lost.
 ///
 /// Two caps apply: `max_payload` for single-request/response frames and
 /// `max_batch_payload` for batch frames (0 = same as max_payload), so a

@@ -90,8 +90,7 @@ std::size_t resolveReactors(std::size_t requested) {
 }
 
 /// A bound, listening, non-blocking IPv4 socket. Throws util::Error on
-/// any failure — including SO_REUSEPORT being refused, which the caller
-/// turns into the hand-off fallback.
+/// any failure.
 util::UniqueFd makeListener(const std::string& bind_address,
                             std::uint16_t port, bool reuseport) {
   util::UniqueFd fd = util::socketCloexec(AF_INET, SOCK_STREAM, 0);
@@ -99,13 +98,9 @@ util::UniqueFd makeListener(const std::string& bind_address,
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (reuseport) {
-#ifdef SO_REUSEPORT
     PRIO_CHECK_MSG(::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
                                 sizeof(one)) == 0,
                    "setsockopt(SO_REUSEPORT): " << std::strerror(errno));
-#else
-    PRIO_CHECK_MSG(false, "SO_REUSEPORT unavailable on this platform");
-#endif
   }
 
   struct sockaddr_in addr {};
@@ -168,9 +163,6 @@ struct Server::Impl {
   struct Completion {
     std::uint64_t conn_id = 0;
     std::uint64_t request_id = 0;
-    /// Echoed from the request frame so the response encodes in a layout
-    /// the client's decoder understands (a v1 client never sees v2).
-    std::uint8_t version = kVersion;
     std::uint32_t tenant = 0;
     /// True when the request was a kBatchRequest: the reply's items are
     /// re-encoded as a kBatchResponse envelope.
@@ -193,7 +185,7 @@ struct Server::Impl {
     /// hand-off mode.
     util::UniqueFd listen_fd_;
     Wakeup wake_;
-    std::unique_ptr<Poller> poller_;  ///< created on the loop thread
+    Poller poller_;
 
     /// Ids stride by the shard count so they are unique without
     /// coordination (shard i mints i+1, i+1+N, ...).
@@ -228,11 +220,10 @@ struct Server::Impl {
     // ----------------------------------------------------------- loop
 
     void loop() {
-      poller_ = makePoller(impl->config_.use_epoll);
       if (listen_fd_.valid()) {
-        poller_->add(listen_fd_.get(), /*read=*/true, /*write=*/false);
+        poller_.add(listen_fd_.get(), /*read=*/true, /*write=*/false);
       }
-      poller_->add(wake_.fd(), /*read=*/true, /*write=*/false);
+      poller_.add(wake_.fd(), /*read=*/true, /*write=*/false);
 
       std::vector<Poller::Event> events;
       while (true) {
@@ -246,7 +237,7 @@ struct Server::Impl {
                 ? 50
                 : 1000;
         events.clear();
-        poller_->wait(events, timeout_ms);
+        poller_.wait(events, timeout_ms);
         const Clock::time_point wake = Clock::now();
 
         for (const Poller::Event& e : events) {
@@ -295,7 +286,7 @@ struct Server::Impl {
       }
 
       // Point-of-no-return cleanup: anything still connected is dropped.
-      for (auto& [fd, conn] : conns_by_fd_) poller_->remove(fd);
+      for (auto& [fd, conn] : conns_by_fd_) poller_.remove(fd);
       if (!conns_by_fd_.empty()) {
         impl->open_conns_.fetch_sub(conns_by_fd_.size(),
                                     std::memory_order_relaxed);
@@ -304,7 +295,6 @@ struct Server::Impl {
       conns_by_id_.clear();
       lru_.clear();
       dropInbox();
-      poller_.reset();
     }
 
     // ---------------------------------------------------- connections
@@ -358,7 +348,7 @@ struct Server::Impl {
       conn->decoder =
           FrameDecoder(impl->config_.max_payload, impl->max_batch_payload_);
       conn->last_activity = Clock::now();
-      poller_->add(conn->fd.get(), /*read=*/true, /*write=*/false);
+      poller_.add(conn->fd.get(), /*read=*/true, /*write=*/false);
       conn->lru_it = lru_.insert(lru_.end(), conn.get());
       accepted_.fetch_add(1, std::memory_order_relaxed);
       conns_by_id_[conn->id] = conn.get();
@@ -421,7 +411,7 @@ struct Server::Impl {
         parked_frames_.fetch_sub(1, std::memory_order_relaxed);
       }
       lru_.erase(conn->lru_it);
-      poller_->remove(conn->fd.get());
+      poller_.remove(conn->fd.get());
       conns_by_id_.erase(conn->id);
       impl->connections_closed.add();
       conns_by_fd_.erase(conn->fd.get());  // destroys conn, closes fd
@@ -432,7 +422,7 @@ struct Server::Impl {
 
     void updateInterest(Connection* conn) {
       const bool read = !conn->paused && !conn->closing && !draining_;
-      poller_->update(conn->fd.get(), read, conn->wantWrite());
+      poller_.update(conn->fd.get(), read, conn->wantWrite());
     }
 
     /// Flushes buffered output. False when the connection was closed.
@@ -595,10 +585,6 @@ struct Server::Impl {
           case FrameDecoder::Result::kError: {
             impl->protocol_errors.add();
             Frame err;
-            // v1 layout: the one error frame EVERY decoder vintage
-            // parses (the sender's version is unknowable once framing
-            // is lost).
-            err.version = kVersionLegacy;
             err.type = FrameType::kResponse;
             err.status = Status::kProtocolError;
             err.payload = conn->decoder.error();
@@ -615,7 +601,6 @@ struct Server::Impl {
             frame.type != FrameType::kBatchRequest) {
           impl->protocol_errors.add();
           Frame err;
-          err.version = frame.version;
           err.type = FrameType::kResponse;
           err.status = Status::kProtocolError;
           err.request_id = frame.request_id;
@@ -638,7 +623,6 @@ struct Server::Impl {
           if (!validateBatchRequest(frame.payload, impl->config_.max_payload,
                                     item_count, env_err)) {
             Frame rej;
-            rej.version = frame.version;
             rej.type = FrameType::kResponse;
             rej.status = Status::kFailed;
             rej.request_id = frame.request_id;
@@ -683,7 +667,6 @@ struct Server::Impl {
                 .add();
             impl->registry_.recordRejected(frame.tenant);
             Frame rej;
-            rej.version = frame.version;
             rej.type = FrameType::kResponse;
             rej.status = Status::kRejected;
             rej.request_id = frame.request_id;
@@ -729,13 +712,12 @@ struct Server::Impl {
               : 0.0;
       const bool batch = frame.type == FrameType::kBatchRequest;
       auto complete = [shard = this, conn_id = conn->id,
-                       request_id = frame.request_id, version = frame.version,
-                       tenant = frame.tenant,
+                       request_id = frame.request_id, tenant = frame.tenant,
                        batch](service::Reply reply) {
         {
           std::lock_guard<std::mutex> lock(shard->completions_mu_);
           shard->completions_.push_back(Completion{
-              conn_id, request_id, version, tenant, batch, std::move(reply)});
+              conn_id, request_id, tenant, batch, std::move(reply)});
         }
         shard->impl->signalShard(*shard);
       };
@@ -750,7 +732,6 @@ struct Server::Impl {
           impl->registry_.recordReply(frame.tenant, tenant::Outcome::kFailed,
                                       false, 0.0);
           Frame rej;
-          rej.version = frame.version;
           rej.type = FrameType::kResponse;
           rej.status = Status::kFailed;
           rej.request_id = frame.request_id;
@@ -817,7 +798,6 @@ struct Server::Impl {
           impl->requests_expired.add();
         }
         Frame resp;
-        resp.version = c.version;
         resp.tenant = c.tenant;
         resp.status = toWireStatus(c.reply.status);
         resp.request_id = c.request_id;
@@ -913,7 +893,6 @@ struct Server::Impl {
             impl->requests_expired.add();
             impl->registry_.recordExpired(frame.tenant);
             Frame resp;
-            resp.version = frame.version;
             resp.type = FrameType::kResponse;
             resp.status = Status::kExpired;
             resp.request_id = frame.request_id;
@@ -981,7 +960,7 @@ struct Server::Impl {
           Clock::now() + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double>(
                                  impl->config_.drain_timeout_s));
-      if (listen_fd_.valid()) poller_->remove(listen_fd_.get());
+      if (listen_fd_.valid()) poller_.remove(listen_fd_.get());
       dropInbox();
       for (auto& [fd, conn] : conns_by_fd_) updateInterest(conn.get());
     }
@@ -1050,27 +1029,17 @@ struct Server::Impl {
       shards_.push_back(std::make_unique<Shard>(this, i));
     }
 
-    // Listener-per-shard via SO_REUSEPORT when asked and possible;
-    // otherwise one listener on shard 0 and the hand-off deal.
+    // Listener-per-shard via SO_REUSEPORT when asked; otherwise one
+    // listener on shard 0 and the hand-off deal.
     reuseport_ = config_.use_reuseport && num_shards_ > 1;
+    shards_[0]->listen_fd_ =
+        makeListener(config_.bind_address, config_.port, reuseport_);
+    bound_port_ = localPort(shards_[0]->listen_fd_.get());
     if (reuseport_) {
-      try {
-        shards_[0]->listen_fd_ =
-            makeListener(config_.bind_address, config_.port, true);
-        bound_port_ = localPort(shards_[0]->listen_fd_.get());
-        for (std::size_t i = 1; i < num_shards_; ++i) {
-          shards_[i]->listen_fd_ =
-              makeListener(config_.bind_address, bound_port_, true);
-        }
-      } catch (const util::Error&) {
-        for (auto& shard : shards_) shard->listen_fd_.reset();
-        reuseport_ = false;
+      for (std::size_t i = 1; i < num_shards_; ++i) {
+        shards_[i]->listen_fd_ =
+            makeListener(config_.bind_address, bound_port_, true);
       }
-    }
-    if (!reuseport_) {
-      shards_[0]->listen_fd_ =
-          makeListener(config_.bind_address, config_.port, false);
-      bound_port_ = localPort(shards_[0]->listen_fd_.get());
     }
   }
 
@@ -1211,7 +1180,7 @@ struct Server::Impl {
   /// ServerConfig::max_batch_payload).
   std::uint32_t max_batch_payload_ = kMaxPayload;
   std::size_t num_shards_ = 1;
-  bool reuseport_ = false;  ///< mode actually in effect after binding
+  bool reuseport_ = false;  ///< one SO_REUSEPORT listener per shard
   std::uint16_t bound_port_ = 0;
 
   /// The global admission gate: requests inside the service across all

@@ -8,19 +8,18 @@
 //     decodes request frames, submits them to the SHARED PrioService via
 //     submitCallback(); worker threads push completed Replies onto the
 //     owning shard's completion queue and wake that shard through its
-//     eventfd (self-pipe fallback), so replies are serialized back onto
-//     their connection without any socket ever being touched from two
-//     threads. No connection, buffer, or poller is ever shared between
-//     shards.
-//   - Connection placement: with SO_REUSEPORT (Linux), every shard binds
-//     its own listener on the same address and the kernel spreads the
-//     handshakes. Where SO_REUSEPORT is unavailable — or with
-//     use_reuseport=false — shard 0 accepts and deals descriptors
-//     round-robin to sibling shards' inboxes (deterministic placement,
-//     which the tests exploit).
-//   - Readiness comes from epoll on Linux (level-triggered) with a
-//     portable poll(2) backend behind the same interface, one instance
-//     per shard; ServerConfig::use_epoll=false forces the fallback.
+//     eventfd, so replies are serialized back onto their connection
+//     without any socket ever being touched from two threads. No
+//     connection, buffer, or poller is ever shared between shards.
+//     Replies leave in completion order; clients match them to requests
+//     by request_id.
+//   - Connection placement: with SO_REUSEPORT, every shard binds its own
+//     listener on the same address and the kernel spreads the
+//     handshakes. With use_reuseport=false shard 0 accepts and deals
+//     descriptors round-robin to sibling shards' inboxes (deterministic
+//     placement, which the tests exploit).
+//   - Readiness comes from one level-triggered epoll instance per shard
+//     (net/poller.h). The server is Linux-only.
 //   - Per-connection state machine: FRAMING connections run the binary
 //     protocol; a connection whose first bytes are "GET " flips to HTTP
 //     mode and is served one snapshot — "GET /metrics" (plaintext
@@ -73,10 +72,10 @@ struct ServerConfig {
   /// Reactor shards (event-loop threads). 0 = hardware_concurrency/2,
   /// floored at 1. Each shard owns its connections exclusively.
   std::size_t reactors = 0;
-  /// With >1 shard on Linux, bind one SO_REUSEPORT listener per shard so
-  /// the kernel spreads connections. False forces the accept-and-hand-
-  /// off fallback (shard 0 accepts, deals round-robin — deterministic
-  /// placement, used by tests).
+  /// With >1 shard, bind one SO_REUSEPORT listener per shard so the
+  /// kernel spreads connections. False selects accept-and-hand-off
+  /// (shard 0 accepts, deals round-robin — deterministic placement, used
+  /// by tests).
   bool use_reuseport = true;
   /// Hard cap on simultaneous connections across all shards; extras are
   /// accepted and immediately closed.
@@ -97,8 +96,6 @@ struct ServerConfig {
   /// exceed the single-dag limit. 0 = 4x max_payload. Each item inside
   /// the envelope is still bounded by max_payload.
   std::uint32_t max_batch_payload = 0;
-  /// False forces the poll(2) backend even where epoll is available.
-  bool use_epoll = true;
   /// Tenant policies installed into the server's registry before
   /// serving: (tenant id, config) pairs — the priod_server --tenant
   /// flag. Tenants not listed here self-register with default policy

@@ -9,16 +9,15 @@
 //
 // Stability contract (DESIGN.md §10): everything re-exported here is the
 // public surface. PRIO_API_VERSION bumps when that surface changes
-// incompatibly; entry points marked [[deprecated]] (the pre-PrioRequest
-// overloads of prioritize/scheduleComponents) keep bit-identical
-// behavior for one version and are removed at the next bump.
+// incompatibly; the library keeps no deprecated shims across a bump.
 #pragma once
 
-/// Public API version. 2 = the PrioRequest/PrioOptions aggregate API plus
-/// the obs observability layer (metrics registry + structured tracing);
-/// 1 = the original loose-overload surface, still available as deprecated
-/// shims.
-#define PRIO_API_VERSION 2
+/// Public API version. 3 = one request form per entry point
+/// (core::prioritize(PrioRequest), core::scheduleComponents(
+/// ScheduleRequest), service::Request/Payload) with no deprecated shims;
+/// 2 added the PrioRequest/PrioOptions aggregate API and the obs layer;
+/// 1 was the original loose-overload surface.
+#define PRIO_API_VERSION 3
 
 // Substrates.
 #include "dag/algorithms.h"   // IWYU pragma: export

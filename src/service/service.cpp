@@ -456,54 +456,30 @@ void PrioService::serveBatch(const BatchRequest& request, Reply& reply,
   }
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-void PrioService::serveText(const TextRequest& request, Reply& reply,
-                            const obs::TraceContext& trace, double budget_s) {
-  Request typed;
-  typed.payload = Payload::text(request.dag_text);
-  typed.trace_id = request.trace_id;
-  typed.tenant = request.tenant;
-  typed.deadline_s = request.deadline_s;
-  servePayload(typed, reply, trace, budget_s);
-}
-#pragma GCC diagnostic pop
-
 namespace {
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 const std::string& sourceOf(const FileRequest& r) { return r.input_path; }
 std::string sourceOf(const dag::Digraph&) { return {}; }
-std::string sourceOf(const TextRequest&) { return {}; }
 std::string sourceOf(const Request&) { return {}; }
 std::string sourceOf(const BatchRequest&) { return {}; }
 
 std::uint64_t adoptedTraceId(const FileRequest&) { return 0; }
 std::uint64_t adoptedTraceId(const dag::Digraph&) { return 0; }
-std::uint64_t adoptedTraceId(const TextRequest& r) { return r.trace_id; }
 std::uint64_t adoptedTraceId(const Request& r) { return r.trace_id; }
 std::uint64_t adoptedTraceId(const BatchRequest& r) { return r.trace_id; }
 
 std::uint32_t tenantOf(const FileRequest& r) { return r.tenant; }
 std::uint32_t tenantOf(const dag::Digraph&) { return 0; }
-std::uint32_t tenantOf(const TextRequest& r) { return r.tenant; }
 std::uint32_t tenantOf(const Request& r) { return r.tenant; }
 std::uint32_t tenantOf(const BatchRequest& r) { return r.tenant; }
 
 double deadlineOf(const FileRequest&) { return 0.0; }
 double deadlineOf(const dag::Digraph&) { return 0.0; }
-double deadlineOf(const TextRequest& r) { return r.deadline_s; }
 double deadlineOf(const Request& r) { return r.deadline_s; }
 double deadlineOf(const BatchRequest& r) { return r.deadline_s; }
 
-#pragma GCC diagnostic pop
-
 }  // namespace
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 template <typename RequestT>
 void PrioService::enqueueWith(RequestT request,
                               std::function<void(Reply)> complete) {
@@ -549,16 +525,15 @@ void PrioService::enqueueWith(RequestT request,
     }
     try {
       // One trace per request: a fresh trace id (or the wire-propagated
-      // one for text requests) and a "service.request" root span whose
-      // children are the parse/fingerprint/pipeline spans, recorded from
-      // whichever worker thread runs the task.
+      // one for payload and batch requests) and a "service.request" root
+      // span whose children are the parse/fingerprint/pipeline spans,
+      // recorded from whichever worker thread runs the task.
       const obs::TraceContext trace =
           beginRequestTrace(adoptedTraceId(holder->request));
       obs::Span span(trace, "service.request");
       if constexpr (std::is_same_v<RequestT, FileRequest>) {
         serveFile(holder->request, reply, span.context());
-      } else if constexpr (std::is_same_v<RequestT, TextRequest> ||
-                           std::is_same_v<RequestT, Request> ||
+      } else if constexpr (std::is_same_v<RequestT, Request> ||
                            std::is_same_v<RequestT, BatchRequest>) {
         // Whatever budget survived the queue bounds the compute. The
         // floor keeps a budget that ran out between the expiry check
@@ -568,9 +543,7 @@ void PrioService::enqueueWith(RequestT request,
             budget_s > 0.0
                 ? std::max(budget_s - holder->watch.elapsedSeconds(), 1e-6)
                 : 0.0;
-        if constexpr (std::is_same_v<RequestT, TextRequest>) {
-          serveText(holder->request, reply, span.context(), remaining_s);
-        } else if constexpr (std::is_same_v<RequestT, Request>) {
+        if constexpr (std::is_same_v<RequestT, Request>) {
           servePayload(holder->request, reply, span.context(), remaining_s);
         } else {
           serveBatch(holder->request, reply, span.context(), remaining_s);
@@ -623,7 +596,6 @@ std::future<Reply> PrioService::enqueue(RequestT request) {
   });
   return future;
 }
-#pragma GCC diagnostic pop
 
 std::future<Reply> PrioService::submit(dag::Digraph g) {
   return enqueue(std::move(g));
@@ -650,18 +622,6 @@ void PrioService::submitCallback(BatchRequest request,
                                  std::function<void(Reply)> done) {
   enqueueWith(std::move(request), std::move(done));
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::future<Reply> PrioService::submit(TextRequest request) {
-  return enqueue(std::move(request));
-}
-
-void PrioService::submitCallback(TextRequest request,
-                                 std::function<void(Reply)> done) {
-  enqueueWith(std::move(request), std::move(done));
-}
-#pragma GCC diagnostic pop
 
 std::vector<std::future<Reply>> PrioService::submitBatch(
     std::vector<dag::Digraph> dags) {

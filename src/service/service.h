@@ -38,12 +38,11 @@
 // Every request therefore terminates with kOk, kDegraded, kShed,
 // kRejected, kExpired, or kFailed — never a hang.
 //
-// Payloads (since wire v3) are typed: service::Request carries a tagged
+// Payloads are typed: service::Request carries a tagged
 // Payload — kDagmanText (the classic text path) or kBinaryCsr (the BDAG
 // binary layout in dag/csr.h, decoded without any text parsing) — and
 // the reply's output is rendered in the same kind. BatchRequest carries
-// many payloads as one service request with per-item replies. The
-// pre-v3 TextRequest API remains as a deprecated, byte-identical shim.
+// many payloads as one service request with per-item replies.
 #pragma once
 
 #include <cstddef>
@@ -140,7 +139,7 @@ enum class RequestStatus {
   kExpired,   ///< caller-supplied budget spent before compute started
 };
 
-/// How a Payload's bytes encode a dag. Mirrors net::PayloadKind (the v3
+/// How a Payload's bytes encode a dag. Mirrors net::PayloadKind (the
 /// wire payload_kind byte) without depending on the net layer.
 enum class PayloadKind : std::uint8_t {
   kDagmanText = 0,  ///< DAGMan input-file text
@@ -235,7 +234,7 @@ struct Request {
   double deadline_s = 0.0;
 };
 
-/// Many independent dags submitted as ONE service request (the v3
+/// Many independent dags submitted as ONE service request (the
 /// kBatchRequest frame): one queue slot, one admission decision, one
 /// Reply whose `items` carry the per-dag results in order. Items are
 /// served serially on the worker that claimed the batch; the shared
@@ -243,16 +242,6 @@ struct Request {
 /// complete kExpired instead of computing.
 struct BatchRequest {
   std::vector<Payload> items;
-  std::uint64_t trace_id = 0;
-  std::uint32_t tenant = 0;
-  double deadline_s = 0.0;
-};
-
-/// Pre-v3 text request, kept as a shim over Request/Payload::text().
-/// Byte-identical behavior is asserted in tests/test_binary_wire.cpp.
-struct [[deprecated(
-    "use service::Request with Payload::text()")]] TextRequest {
-  std::string dag_text;
   std::uint64_t trace_id = 0;
   std::uint32_t tenant = 0;
   double deadline_s = 0.0;
@@ -291,16 +280,6 @@ class PrioService {
 
   /// Callback flavor of submit(BatchRequest).
   void submitCallback(BatchRequest request, std::function<void(Reply)> done);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  /// Pre-v3 shims: forward to the typed Request API, byte-identically.
-  [[deprecated("use submit(service::Request)")]] std::future<Reply> submit(
-      TextRequest request);
-  [[deprecated(
-      "use submitCallback(service::Request, done)")]] void
-  submitCallback(TextRequest request, std::function<void(Reply)> done);
-#pragma GCC diagnostic pop
 
   /// Batch submission, in order. Under kBlock the call blocks until the
   /// whole batch is enqueued; replies complete as workers finish.
@@ -377,13 +356,6 @@ class PrioService {
   /// per-item replies into reply.items.
   void serveBatch(const BatchRequest& request, Reply& reply,
                   const obs::TraceContext& trace, double budget_s = 0.0);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  /// Pre-v3 shim over servePayload(); asserted byte-identical in tests.
-  [[deprecated("use servePayload()")]] void serveText(
-      const TextRequest& request, Reply& reply,
-      const obs::TraceContext& trace, double budget_s = 0.0);
-#pragma GCC diagnostic pop
 
   /// Shared submission path: runs `request` on the pool and delivers the
   /// Reply through `complete` (worker thread, or the calling thread on

@@ -1,11 +1,10 @@
-// Tests for the v3 typed-payload wire surface (DESIGN.md §15): BDAG /
+// Tests for the typed-payload wire surface (DESIGN.md §15): BDAG /
 // BPRI golden bytes and seeded round-trips, decode hardening against
 // hostile payloads (truncation, bit flips, overflow, cycle smuggling —
 // the server must answer kFailed, never crash a reactor), the batch
 // envelope codecs and their end-to-end semantics (one bad item degrades
 // itself, not the batch), the parse cache, the max_batch_payload cap,
-// v1/v2/v3 interleaving on one raw socket, and byte-identity of the
-// deprecated TextRequest/serveText/usableOutput shims.
+// and id-matched replies to mixed requests pipelined on one raw socket.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -401,7 +401,7 @@ TEST(NetProtocol, GoldenFrameBytesV3) {
       '\x03', '\x00', '\x00', '\x00',       // payload_len LE
       'x',    'y',    'z'};
   EXPECT_EQ(wire, expected);
-  EXPECT_EQ(wire.size(), net::kHeaderSizeV3 + 3);
+  EXPECT_EQ(wire.size(), net::kHeaderSize + 3);
 
   FrameDecoder dec;
   dec.feed(wire.data(), wire.size());
@@ -411,14 +411,18 @@ TEST(NetProtocol, GoldenFrameBytesV3) {
   EXPECT_EQ(out.payload_kind, net::PayloadKind::kBinaryCsr);
   EXPECT_EQ(out.payload, "xyz");
 
-  // Typed payloads and batch frames cannot ride pre-v3 frames.
+  // Only kVersion3 encodes: a typed payload or a batch frame asked for
+  // under a pre-v3 version byte is a caller bug, not a silent downgrade.
   Frame pre;
+  pre.version = 2;
   pre.payload_kind = net::PayloadKind::kBinaryCsr;
   std::string sink;
   EXPECT_THROW(net::encodeFrame(pre, sink), util::Error);
   Frame batch;
+  batch.version = 1;
   batch.type = FrameType::kBatchRequest;
   EXPECT_THROW(net::encodeFrame(batch, sink), util::Error);
+  EXPECT_TRUE(sink.empty());
 }
 
 TEST(NetProtocol, DecoderAppliesBatchCapByFrameType) {
@@ -625,34 +629,32 @@ TEST(BinaryWire, MalformedEnvelopeFailsWithoutClosingTheConnection) {
   EXPECT_EQ(fixture.server().stats().protocol_errors, 0u);
 }
 
-// One raw socket, all three protocol versions pipelined: the server
-// must answer each request in the version it arrived in, in order.
-TEST(BinaryWire, MixedVersionClientsInterleaveOnOneSocket) {
+// One raw socket, four request shapes pipelined: a text single, a text
+// single billed to tenant 5, a BDAG single and a batch. Replies leave in
+// completion order, so each is matched to its request by request_id —
+// the reply contract (DESIGN.md §11) — never by arrival position.
+TEST(BinaryWire, PipelinedRequestShapesMatchRepliesById) {
   ServerFixture fixture;
 
   stats::Rng rng(31);
   const dag::Digraph g = workloads::randomDag(12, 0.25, rng);
 
   std::string wire;
-  Frame v1;
-  v1.version = net::kVersionLegacy;
-  v1.request_id = 1;
-  v1.payload = kFig3;
-  net::encodeFrame(v1, wire);
-  Frame v2;
-  v2.version = net::kVersion;
-  v2.request_id = 2;
-  v2.tenant = 5;
-  v2.payload = kFig3;
-  net::encodeFrame(v2, wire);
-  Frame v3;
-  v3.version = net::kVersion3;
-  v3.request_id = 3;
-  v3.payload_kind = net::PayloadKind::kBinaryCsr;
-  v3.payload = dag::encodeBinaryDag(g);
-  net::encodeFrame(v3, wire);
+  Frame text;
+  text.request_id = 1;
+  text.payload = kFig3;
+  net::encodeFrame(text, wire);
+  Frame tenant_text;
+  tenant_text.request_id = 2;
+  tenant_text.tenant = 5;
+  tenant_text.payload = kFig3;
+  net::encodeFrame(tenant_text, wire);
+  Frame bdag;
+  bdag.request_id = 3;
+  bdag.payload_kind = net::PayloadKind::kBinaryCsr;
+  bdag.payload = dag::encodeBinaryDag(g);
+  net::encodeFrame(bdag, wire);
   Frame batch;
-  batch.version = net::kVersion3;
   batch.type = FrameType::kBatchRequest;
   batch.request_id = 4;
   batch.payload = net::encodeBatchRequest(
@@ -674,92 +676,55 @@ TEST(BinaryWire, MixedVersionClientsInterleaveOnOneSocket) {
   ASSERT_TRUE(util::writeAll(sock.get(), wire.data(), wire.size()));
 
   FrameDecoder dec;
-  std::vector<Frame> replies;
+  std::map<std::uint64_t, Frame> by_id;
+  std::size_t received = 0;
   char buf[4096];
-  while (replies.size() < 4) {
+  while (received < 4) {
     const long r = util::readSome(sock.get(), buf, sizeof(buf));
-    ASSERT_GT(r, 0) << "connection closed after " << replies.size()
-                    << " replies";
+    ASSERT_GT(r, 0) << "connection closed after " << received << " replies";
     dec.feed(buf, static_cast<std::size_t>(r));
     Frame out;
     while (dec.next(out) == FrameDecoder::Result::kFrame) {
-      replies.push_back(out);
+      ++received;
+      EXPECT_TRUE(by_id.emplace(out.request_id, out).second)
+          << "duplicate reply for request " << out.request_id;
     }
     ASSERT_FALSE(dec.failed()) << dec.error();
   }
+  ASSERT_EQ(by_id.size(), 4u);
+  for (const std::uint64_t id : {1u, 2u, 3u, 4u}) {
+    ASSERT_EQ(by_id.count(id), 1u) << "no reply for request " << id;
+    EXPECT_EQ(by_id[id].version, net::kVersion3);
+  }
 
-  // Responses arrive in request order; each echoes its request version.
-  ASSERT_EQ(replies.size(), 4u);
-  EXPECT_EQ(replies[0].request_id, 1u);
-  EXPECT_EQ(replies[0].version, net::kVersionLegacy);
-  EXPECT_EQ(replies[0].status, Status::kOk);
-  EXPECT_EQ(replies[0].tenant, 0u);
+  const Frame& r_text = by_id[1];
+  EXPECT_EQ(r_text.status, Status::kOk);
+  EXPECT_EQ(r_text.tenant, 0u);
+  EXPECT_EQ(r_text.payload_kind, net::PayloadKind::kDagmanText);
 
-  EXPECT_EQ(replies[1].request_id, 2u);
-  EXPECT_EQ(replies[1].version, net::kVersion);
-  EXPECT_EQ(replies[1].status, Status::kOk);
-  EXPECT_EQ(replies[1].tenant, 5u);
+  const Frame& r_tenant = by_id[2];
+  EXPECT_EQ(r_tenant.status, Status::kOk);
+  EXPECT_EQ(r_tenant.tenant, 5u);
 
-  EXPECT_EQ(replies[2].request_id, 3u);
-  EXPECT_EQ(replies[2].version, net::kVersion3);
-  EXPECT_EQ(replies[2].status, Status::kOk);
-  EXPECT_EQ(replies[2].payload_kind, net::PayloadKind::kBinaryCsr);
-  EXPECT_EQ(dag::decodeBinaryPriorities(replies[2].payload).size(),
+  const Frame& r_bdag = by_id[3];
+  EXPECT_EQ(r_bdag.status, Status::kOk);
+  EXPECT_EQ(r_bdag.payload_kind, net::PayloadKind::kBinaryCsr);
+  EXPECT_EQ(dag::decodeBinaryPriorities(r_bdag.payload).size(),
             g.numNodes());
 
-  EXPECT_EQ(replies[3].request_id, 4u);
-  EXPECT_EQ(replies[3].version, net::kVersion3);
-  EXPECT_EQ(replies[3].type, FrameType::kBatchResponse);
+  const Frame& r_batch = by_id[4];
+  EXPECT_EQ(r_batch.type, FrameType::kBatchResponse);
   std::vector<net::BatchItemReply> items;
   std::string error;
-  ASSERT_TRUE(net::decodeBatchResponse(replies[3].payload, items, error))
+  ASSERT_TRUE(net::decodeBatchResponse(r_batch.payload, items, error))
       << error;
   ASSERT_EQ(items.size(), 2u);
   EXPECT_TRUE(items[0].usable());
   EXPECT_TRUE(items[1].usable());
 
-  // The v1/v2 text replies are what the text path always produced.
-  EXPECT_EQ(replies[0].payload, replies[1].payload);
-  EXPECT_EQ(replies[0].payload, items[0].payload);
+  // Every text path renders the same instrumented file.
+  EXPECT_EQ(r_text.payload, r_tenant.payload);
+  EXPECT_EQ(r_text.payload, items[0].payload);
 }
-
-// -------------------------------------------------- deprecated shims
-
-// The pre-v3 stringly API must behave byte-identically to the typed
-// API it now wraps.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedShims, TextRequestMatchesTypedRequest) {
-  service::ServiceConfig config;
-  config.num_threads = 1;
-  config.cache_capacity = 0;  // force both paths to compute
-  service::PrioService service(config);
-
-  const service::Reply typed =
-      service.submit(service::Request{service::Payload::text(kFig3)}).get();
-  const service::Reply shim =
-      service.submit(service::TextRequest{kFig3}).get();
-  ASSERT_EQ(typed.status, service::RequestStatus::kOk);
-  ASSERT_EQ(shim.status, service::RequestStatus::kOk);
-  EXPECT_EQ(shim.output, typed.output);
-  EXPECT_EQ(shim.output_kind, service::PayloadKind::kDagmanText);
-  EXPECT_EQ(shim.fingerprint, typed.fingerprint);
-}
-
-TEST(DeprecatedShims, UsableOutputAgreesWithResultUsable) {
-  net::Response r;
-  for (Status s : {Status::kOk, Status::kDegraded, Status::kRejected,
-                   Status::kShed, Status::kFailed, Status::kProtocolError,
-                   Status::kExpired}) {
-    r.status = s;
-    for (const char* payload : {"", "Job a a.submit\n"}) {
-      r.payload = payload;
-      EXPECT_EQ(r.usableOutput(), r.result().usable)
-          << "status " << static_cast<int>(s) << " payload "
-          << (*payload != '\0' ? "set" : "empty");
-    }
-  }
-}
-#pragma GCC diagnostic pop
 
 }  // namespace

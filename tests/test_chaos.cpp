@@ -13,6 +13,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -259,18 +260,31 @@ TEST(ServiceShedding, StaleQueuedRequestsAreShed) {
   config.cache_capacity = 0;  // every request computes (and stalls)
   PrioService service(config);
 
-  // First request occupies the single worker for ~30 ms; the rest wait
-  // longer than the 1 ms queue deadline and must be shed.
-  std::vector<std::future<Reply>> futures;
-  for (int i = 0; i < 5; ++i) futures.push_back(service.submit(testDag()));
   std::size_t ok = 0, shed = 0;
-  for (auto& f : futures) {
-    const Reply r = f.get();
+  const auto tally = [&](const Reply& r) {
     if (r.status == RequestStatus::kOk) ++ok;
     else if (r.status == RequestStatus::kShed) ++shed;
     EXPECT_TRUE(r.status == RequestStatus::kOk ||
                 r.status == RequestStatus::kShed);
+  };
+  // The 1 ms queue deadline applies to the first request too, and on a
+  // loaded host the idle worker may take longer than that to pick it up.
+  // Resubmit until one request is inside the ~30 ms stall: the fire
+  // count rises before the sleep, so from then on the worker is busy.
+  std::future<Reply> first = service.submit(testDag());
+  while (Injector::instance().fireCount("core.decompose") == 0) {
+    if (first.wait_for(std::chrono::milliseconds(1)) ==
+        std::future_status::ready) {
+      tally(first.get());  // shed before it reached the worker
+      first = service.submit(testDag());
+    }
   }
+  // The rest queue behind the stalled request, wait longer than the
+  // 1 ms queue deadline and must be shed.
+  std::vector<std::future<Reply>> futures;
+  for (int i = 0; i < 4; ++i) futures.push_back(service.submit(testDag()));
+  tally(first.get());
+  for (auto& f : futures) tally(f.get());
   EXPECT_GE(ok, 1u);
   EXPECT_GE(shed, 1u);
   EXPECT_EQ(service.metrics().requests_shed.get(), shed);

@@ -4,7 +4,7 @@
 // and loopback client/server end-to-end behaviour — parity with the
 // offline pipeline, pipelining, backpressure (reject and shed),
 // protocol-error replies, the Prometheus endpoint, idle timeout,
-// graceful drain, trace-id propagation, and the poll(2) backend.
+// graceful drain, trace-id propagation, and rejection of pre-v3 frames.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -119,7 +119,7 @@ TEST(NetProtocol, GoldenFrameBytes) {
 
   const std::string expected{
       'P',    'R',    'I',    'O',          // magic, little-endian
-      '\x02',                               // version
+      '\x03',                               // version
       '\x01',                               // type = request
       '\x00',                               // status
       '\x00',                               // flags
@@ -128,92 +128,11 @@ TEST(NetProtocol, GoldenFrameBytes) {
       '\x18', '\x17', '\x16', '\x15',       // trace_id LE
       '\x14', '\x13', '\x12', '\x11',
       '\x24', '\x23', '\x22', '\x21',       // tenant_id LE
+      '\x00', '\x00', '\x00', '\x00',       // payload_kind = text, reserved
       '\x03', '\x00', '\x00', '\x00',       // payload_len LE
       'a',    'b',    'c'};
   EXPECT_EQ(wire, expected);
   EXPECT_EQ(wire.size(), net::kHeaderSize + 3);
-}
-
-// The PR 1-5 layout, byte for byte: a v1 encode must still produce the
-// 28-byte header an old decoder expects, and decoding it must route to
-// the default tenant. This is the compatibility contract that lets old
-// clients talk to new servers (and vice versa for error replies).
-TEST(NetProtocol, GoldenFrameBytesLegacyV1) {
-  Frame f;
-  f.version = net::kVersionLegacy;
-  f.type = FrameType::kRequest;
-  f.status = Status::kOk;
-  f.request_id = 0x0102030405060708ULL;
-  f.trace_id = 0x1112131415161718ULL;
-  f.payload = "abc";
-  std::string wire;
-  net::encodeFrame(f, wire);
-
-  const std::string expected{
-      'P',    'R',    'I',    'O',          // magic, little-endian
-      '\x01',                               // version
-      '\x01',                               // type = request
-      '\x00',                               // status
-      '\x00',                               // flags
-      '\x08', '\x07', '\x06', '\x05',       // request_id LE
-      '\x04', '\x03', '\x02', '\x01',
-      '\x18', '\x17', '\x16', '\x15',       // trace_id LE
-      '\x14', '\x13', '\x12', '\x11',
-      '\x03', '\x00', '\x00', '\x00',       // payload_len LE (no tenant)
-      'a',    'b',    'c'};
-  EXPECT_EQ(wire, expected);
-  EXPECT_EQ(wire.size(), net::kHeaderSizeV1 + 3);
-
-  FrameDecoder dec;
-  dec.feed(wire.data(), wire.size());
-  Frame out;
-  ASSERT_EQ(dec.next(out), FrameDecoder::Result::kFrame);
-  EXPECT_EQ(out.version, net::kVersionLegacy);
-  EXPECT_EQ(out.tenant, 0u);  // v1 frames map to the default tenant
-  EXPECT_EQ(out.request_id, f.request_id);
-  EXPECT_EQ(out.payload, "abc");
-
-  // A nonzero tenant cannot ride a v1 frame: that would silently lose
-  // the billing attribution.
-  Frame bad;
-  bad.version = net::kVersionLegacy;
-  bad.tenant = 7;
-  std::string sink;
-  EXPECT_THROW(net::encodeFrame(bad, sink), util::Error);
-}
-
-TEST(NetProtocol, DecoderHandlesInterleavedVersions) {
-  Frame v2;
-  v2.type = FrameType::kRequest;
-  v2.request_id = 1;
-  v2.tenant = 42;
-  v2.payload = "new";
-  Frame v1;
-  v1.version = net::kVersionLegacy;
-  v1.type = FrameType::kRequest;
-  v1.request_id = 2;
-  v1.payload = "old";
-  std::string wire;
-  net::encodeFrame(v2, wire);
-  net::encodeFrame(v1, wire);
-  net::encodeFrame(v2, wire);
-
-  FrameDecoder dec;
-  // Trickle one byte at a time so every header-size decision is hit.
-  Frame out;
-  std::vector<Frame> got;
-  for (char c : wire) {
-    dec.feed(&c, 1);
-    if (dec.next(out) == FrameDecoder::Result::kFrame) got.push_back(out);
-  }
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].version, net::kVersion);
-  EXPECT_EQ(got[0].tenant, 42u);
-  EXPECT_EQ(got[0].payload, "new");
-  EXPECT_EQ(got[1].version, net::kVersionLegacy);
-  EXPECT_EQ(got[1].tenant, 0u);
-  EXPECT_EQ(got[1].payload, "old");
-  EXPECT_EQ(got[2].tenant, 42u);
 }
 
 TEST(NetProtocol, RoundTripAllFields) {
@@ -274,11 +193,38 @@ TEST(NetProtocol, GarbageMagicIsError) {
   EXPECT_EQ(dec.next(out), FrameDecoder::Result::kError);
 }
 
+// One header: the pre-v3 layouts (1, 2) are as foreign as any unknown
+// version byte, on both the decode and the encode side.
 TEST(NetProtocol, BadVersionIsError) {
+  for (const std::uint8_t version : {1, 2, 7}) {
+    Frame f;
+    f.payload = std::string(64, 'x');  // longer than any header
+    std::string wire;
+    net::encodeFrame(f, wire);
+    wire[4] = static_cast<char>(version);
+    FrameDecoder dec;
+    dec.feed(wire.data(), wire.size());
+    Frame out;
+    EXPECT_EQ(dec.next(out), FrameDecoder::Result::kError) << int{version};
+    EXPECT_NE(dec.error().find("version"), std::string::npos);
+
+    f.version = version;
+    std::string sink;
+    EXPECT_THROW(net::encodeFrame(f, sink), util::Error) << int{version};
+  }
+}
+
+TEST(NetProtocol, DeadlineFlagOnV1FrameIsError) {
+  // v1 predates every flag; an old peer setting even the "known" bit is
+  // corruption, not a deadline. The version byte is rejected before the
+  // flags are read, so no deadline field is looked for.
   Frame f;
+  f.deadline_ms = 1234;
+  f.flags = net::kFlagDeadline;
   std::string wire;
   net::encodeFrame(f, wire);
-  wire[4] = '\x07';
+  wire[4] = '\x01';
+  ASSERT_EQ(wire[7], '\x01');
   FrameDecoder dec;
   dec.feed(wire.data(), wire.size());
   Frame out;
@@ -287,7 +233,7 @@ TEST(NetProtocol, BadVersionIsError) {
 }
 
 TEST(NetProtocol, ReservedFlagBitsAreError) {
-  // Bit 0 is kFlagDeadline (legal on v2); every other bit is reserved.
+  // Bit 0 is kFlagDeadline; every other bit is reserved.
   Frame f;
   std::string wire;
   net::encodeFrame(f, wire);
@@ -299,23 +245,8 @@ TEST(NetProtocol, ReservedFlagBitsAreError) {
   EXPECT_NE(dec.error().find("flags"), std::string::npos);
 }
 
-TEST(NetProtocol, DeadlineFlagOnV1FrameIsError) {
-  // v1 predates every flag; an old peer setting even the "known" bit is
-  // corruption, not a deadline.
-  Frame f;
-  f.version = net::kVersionLegacy;
-  std::string wire;
-  net::encodeFrame(f, wire);
-  wire[7] = '\x01';
-  FrameDecoder dec;
-  dec.feed(wire.data(), wire.size());
-  Frame out;
-  EXPECT_EQ(dec.next(out), FrameDecoder::Result::kError);
-  EXPECT_NE(dec.error().find("flags"), std::string::npos);
-}
-
 TEST(NetProtocol, GoldenFrameBytesWithDeadline) {
-  // The deadline field sits between the 32-byte v2 header and the
+  // The deadline field sits between the 36-byte header and the
   // payload; payload_len still counts only the payload, so a deadline-
   // blind observer that honors flags it doesn't know would misparse —
   // which is exactly why unknown flag bits are a protocol error.
@@ -332,7 +263,7 @@ TEST(NetProtocol, GoldenFrameBytesWithDeadline) {
 
   const std::string expected{
       'P',    'R',    'I',    'O',          // magic, little-endian
-      '\x02',                               // version
+      '\x03',                               // version
       '\x01',                               // type = request
       '\x00',                               // status
       '\x01',                               // flags = kFlagDeadline
@@ -341,6 +272,7 @@ TEST(NetProtocol, GoldenFrameBytesWithDeadline) {
       '\x18', '\x17', '\x16', '\x15',       // trace_id LE
       '\x14', '\x13', '\x12', '\x11',
       '\x24', '\x23', '\x22', '\x21',       // tenant_id LE
+      '\x00', '\x00', '\x00', '\x00',       // payload_kind = text, reserved
       '\x03', '\x00', '\x00', '\x00',       // payload_len LE (payload only)
       '\xd2', '\x04', '\x00', '\x00',       // deadline_ms = 1234 LE
       'a',    'b',    'c'};
@@ -377,41 +309,40 @@ TEST(NetProtocol, ExpiredStatusRoundTrips) {
   EXPECT_EQ(strict.next(out), FrameDecoder::Result::kError);
 }
 
-// Property test: a golden stream of interleaved v1/v2/deadline frames
-// must decode identically no matter where the transport splits it. This
+// Property test: a golden stream of interleaved frame types, payload
+// kinds and deadline frames must decode identically no matter where the transport splits it. This
 // is the contract the chaos proxy attacks at runtime (max_chunk=1);
 // here every single two-part split AND the all-singleton split are
 // checked exhaustively.
 TEST(NetProtocol, DecoderInvariantUnderEverySplitOffset) {
   std::vector<Frame> frames;
   {
-    Frame a;  // v2, no deadline, empty payload
+    Frame a;  // no deadline, empty payload
     a.type = FrameType::kRequest;
     a.request_id = 1;
     frames.push_back(a);
-    Frame b;  // v1 legacy
-    b.version = net::kVersionLegacy;
+    Frame b;  // binary payload kind
     b.type = FrameType::kResponse;
     b.status = Status::kDegraded;
+    b.payload_kind = net::PayloadKind::kBinaryCsr;
     b.request_id = 2;
-    b.payload = "legacy";
+    b.payload = "binary";
     frames.push_back(b);
-    Frame c;  // v2 with deadline and tenant
+    Frame c;  // deadline and tenant
     c.type = FrameType::kRequest;
     c.request_id = 3;
     c.tenant = 9;
     c.deadline_ms = 250;
     c.payload = "Job a a.sub\n";
     frames.push_back(c);
-    Frame d;  // v2 expired response with deadline echoed
+    Frame d;  // expired response with deadline echoed
     d.type = FrameType::kResponse;
     d.status = Status::kExpired;
     d.request_id = 4;
     d.deadline_ms = 1;
     frames.push_back(d);
-    Frame e;  // v1 after a deadline frame: header size flips back
-    e.version = net::kVersionLegacy;
-    e.type = FrameType::kRequest;
+    Frame e;  // batch frame after a deadline frame
+    e.type = FrameType::kBatchRequest;
     e.request_id = 5;
     e.payload = std::string(257, 'x');
     frames.push_back(e);
@@ -429,8 +360,8 @@ TEST(NetProtocol, DecoderInvariantUnderEverySplitOffset) {
       while (dec.next(out) == FrameDecoder::Result::kFrame) {
         ASSERT_LT(idx, frames.size()) << "split at " << cut;
         const Frame& want = frames[idx];
-        EXPECT_EQ(out.version, want.version) << cut << "/" << idx;
         EXPECT_EQ(out.type, want.type) << cut << "/" << idx;
+        EXPECT_EQ(out.payload_kind, want.payload_kind) << cut << "/" << idx;
         EXPECT_EQ(out.status, want.status) << cut << "/" << idx;
         EXPECT_EQ(out.request_id, want.request_id) << cut << "/" << idx;
         EXPECT_EQ(out.tenant, want.tenant) << cut << "/" << idx;
@@ -792,7 +723,7 @@ TEST(NetServer, BlockBackpressureLosesNothing) {
                  std::chrono::microseconds(5000)});
 
   // Gate of 1 under kBlock: excess frames park and pause the socket —
-  // every request still completes, in order, with no rejections.
+  // every request still completes, with no rejections.
   net::ServerConfig config;
   config.service.num_threads = 2;
   config.max_in_flight = 1;
@@ -972,20 +903,6 @@ TEST(NetServer, GracefulDrainFlushesInFlightResponses) {
   EXPECT_EQ(r.payload, offlineInstrument(kFig3));
 }
 
-TEST(NetServer, PollBackendServesLikeEpoll) {
-  net::ServerConfig config;
-  config.use_epoll = false;
-  ServerFixture fixture(config);
-  net::Client client;
-  client.connect("127.0.0.1", fixture.port());
-  const net::Response r = client.call(kFig3);
-  ASSERT_EQ(r.status, Status::kOk) << r.payload;
-  EXPECT_EQ(r.payload, offlineInstrument(kFig3));
-  EXPECT_NE(net::Client::fetchMetrics("127.0.0.1", fixture.port())
-                .find("prio_net_responses_sent"),
-            std::string::npos);
-}
-
 TEST(NetServer, TraceIdPropagatesAcrossTheWire) {
   obs::Tracer server_tracer;
   net::ServerConfig config;
@@ -1042,71 +959,63 @@ TEST(NetServer, StatsCountConnections) {
 // Version negotiation end to end: a raw v1 frame (the PR 1-5 wire
 // layout) must be accepted, billed to the default tenant, and answered
 // with a frame an old decoder can parse — i.e. a 28-byte v1 header.
-TEST(NetServer, LegacyV1ClientIsServedWithV1Frames) {
+// One header: a client still speaking the 28-byte v1 or the 32-byte v2
+// layout gets one kProtocolError reply and a closed connection, never a
+// served request.
+TEST(NetServer, PreV3FrameGetsProtocolErrorAndClose) {
   ServerFixture fixture;
+  const auto put = [](std::string& out, std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  for (const std::uint8_t version : {1, 2}) {
+    std::string wire = "PRIO";
+    wire.push_back(static_cast<char>(version));
+    wire.push_back('\x01');  // type = request
+    wire.append(2, '\0');    // status, flags
+    put(wire, 9, 8);         // request_id
+    put(wire, 0, 8);         // trace_id
+    if (version == 2) put(wire, 0, 4);  // tenant_id
+    put(wire, std::strlen(kFig3), 4);  // payload_len
+    wire.append(kFig3);
 
-  Frame f;
-  f.version = net::kVersionLegacy;
-  f.type = FrameType::kRequest;
-  f.request_id = 9;
-  f.payload = kFig3;
-  std::string wire;
-  net::encodeFrame(f, wire);
-  ASSERT_EQ(wire.size(), net::kHeaderSizeV1 + std::strlen(kFig3));
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    util::UniqueFd sock(fd);
+    struct sockaddr_in addr {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(fixture.port());
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::connect(sock.get(), reinterpret_cast<struct sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_TRUE(util::writeAll(sock.get(), wire.data(), wire.size()));
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  util::UniqueFd sock(fd);
-  struct sockaddr_in addr {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(fixture.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(sock.get(), reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  ASSERT_TRUE(util::writeAll(sock.get(), wire.data(), wire.size()));
-
-  // Read the whole response, then parse it the way a v1-only decoder
-  // would: version byte 1, payload_len at offset 24, 28-byte header.
-  std::string got;
-  char buf[64 * 1024];
-  while (got.size() < net::kHeaderSizeV1 ||
-         got.size() < net::kHeaderSizeV1 +
-                          (static_cast<std::uint32_t>(
-                               static_cast<unsigned char>(got[24])) |
-                           (static_cast<std::uint32_t>(
-                                static_cast<unsigned char>(got[25]))
-                            << 8) |
-                           (static_cast<std::uint32_t>(
-                                static_cast<unsigned char>(got[26]))
-                            << 16) |
-                           (static_cast<std::uint32_t>(
-                                static_cast<unsigned char>(got[27]))
-                            << 24))) {
-    const long r = util::readSome(sock.get(), buf, sizeof(buf));
-    ASSERT_GT(r, 0);
-    got.append(buf, static_cast<std::size_t>(r));
+    // Everything until the server closes: exactly one error frame.
+    std::string got;
+    char buf[4096];
+    for (;;) {
+      const long r = util::readSome(sock.get(), buf, sizeof(buf));
+      if (r <= 0) break;
+      got.append(buf, static_cast<std::size_t>(r));
+    }
+    FrameDecoder dec;
+    dec.feed(got.data(), got.size());
+    Frame resp;
+    ASSERT_EQ(dec.next(resp), FrameDecoder::Result::kFrame) << int{version};
+    EXPECT_EQ(resp.type, FrameType::kResponse);
+    EXPECT_EQ(resp.status, Status::kProtocolError);
+    EXPECT_NE(resp.payload.find("version"), std::string::npos)
+        << resp.payload;
+    EXPECT_EQ(dec.next(resp), FrameDecoder::Result::kNeedMore);
+    EXPECT_EQ(dec.buffered(), 0u);
   }
-  ASSERT_EQ(got.substr(0, 4), "PRIO");
-  EXPECT_EQ(got[4], '\x01');  // the reply is a v1 frame
-  EXPECT_EQ(got[5], '\x02');  // type = response
-  EXPECT_EQ(got[6], '\x00');  // status = kOk
-
-  Frame resp;
-  FrameDecoder dec;
-  dec.feed(got.data(), got.size());
-  ASSERT_EQ(dec.next(resp), FrameDecoder::Result::kFrame);
-  EXPECT_EQ(resp.version, net::kVersionLegacy);
-  EXPECT_EQ(resp.request_id, 9u);
-  EXPECT_EQ(resp.tenant, 0u);
-  EXPECT_EQ(resp.payload, offlineInstrument(kFig3));
-
-  // The request was billed to the default tenant.
-  const auto snaps = fixture.server().tenants().snapshot();
-  ASSERT_FALSE(snaps.empty());
-  EXPECT_EQ(snaps[0].id, tenant::kDefaultTenantId);
-  EXPECT_EQ(snaps[0].admitted, 1u);
-  EXPECT_EQ(snaps[0].completed, 1u);
+  const net::Server::Stats stats = fixture.server().stats();
+  EXPECT_EQ(stats.protocol_errors, 2u);
+  EXPECT_EQ(stats.frames_received, 0u);
+  EXPECT_EQ(fixture.server().service().metrics().requests_submitted.get(),
+            0u);
 }
 
 TEST(NetServer, TenantIdRoundTripsAndIsAccounted) {
