@@ -23,10 +23,10 @@ Digraph randomBipartite(std::size_t sources, std::size_t sinks,
                         prio::stats::Rng& rng) {
   Digraph g;
   for (std::size_t i = 0; i < sources; ++i) {
-    g.addNode("s" + std::to_string(i));
+    g.addNode(std::string("s").append(std::to_string(i)));
   }
   for (std::size_t j = 0; j < sinks; ++j) {
-    const NodeId t = g.addNode("t" + std::to_string(j));
+    const NodeId t = g.addNode(std::string("t").append(std::to_string(j)));
     const std::size_t parents = 1 + rng.below(4);
     for (std::size_t k = 0; k < parents; ++k) {
       g.addEdge(static_cast<NodeId>(rng.below(sources)), t);

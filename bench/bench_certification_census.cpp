@@ -22,7 +22,9 @@ using prio::dag::NodeId;
 // 0..i-1. (Every out-tree is a composition of fan-out blocks.)
 Digraph randomOutTree(std::size_t n, prio::stats::Rng& rng) {
   Digraph g;
-  for (std::size_t i = 0; i < n; ++i) g.addNode("n" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   for (NodeId i = 1; i < n; ++i) {
     g.addEdge(static_cast<NodeId>(rng.below(i)), i);
   }

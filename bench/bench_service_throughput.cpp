@@ -120,7 +120,8 @@ int main() {
   while (requests.size() < num_requests) {
     const Digraph& base = pool[rng.next() % pool.size()];
     if (rng.next() % 2 == 0) {
-      requests.push_back(renamedCopy(base, "r" + std::to_string(renamed++)));
+      requests.push_back(renamedCopy(
+          base, std::string("r").append(std::to_string(renamed++))));
     } else {
       requests.push_back(base);
     }

@@ -361,7 +361,7 @@ Decomposition decompose(const dag::Digraph& g,
   // endpoints are scheduled by different components.
   out.superdag.reserveNodes(out.components.size());
   for (std::size_t i = 0; i < out.components.size(); ++i) {
-    out.superdag.addNode("C" + std::to_string(i));
+    out.superdag.addNode(std::string("C").append(std::to_string(i)));
   }
   for (NodeId u = 0; u < g.numNodes(); ++u) {
     if (out.owner[u] == kGlobalSinkOwner) continue;

@@ -107,7 +107,7 @@ const Csr& Digraph::csr() const {
 }
 
 NodeId Digraph::addNode() {
-  return addNode("n" + std::to_string(numNodes()));
+  return addNode(std::string("n").append(std::to_string(numNodes())));
 }
 
 NodeId Digraph::addNode(std::string name) {

@@ -212,28 +212,9 @@ std::string encodeBatchRequest(const std::vector<BatchItem>& items) {
 }
 
 bool decodeBatchRequest(const std::string& payload,
+                        std::uint32_t max_item_payload,
                         std::vector<BatchItem>& out, std::string& error) {
   out.clear();
-  return walkBatch(
-      payload, 1, error,
-      [&](const unsigned char* p, std::uint32_t i, std::uint32_t len) {
-        if (p[0] > kMaxPayloadKind) {
-          error = "batch item " + std::to_string(i) +
-                  " has unknown payload kind " + std::to_string(p[0]);
-          return false;
-        }
-        BatchItem item;
-        item.kind = static_cast<PayloadKind>(p[0]);
-        item.bytes.assign(reinterpret_cast<const char*>(p + 5), len);
-        out.push_back(std::move(item));
-        return true;
-      });
-}
-
-bool validateBatchRequest(const std::string& payload,
-                          std::uint32_t max_item_payload, std::size_t& count,
-                          std::string& error) {
-  count = 0;
   return walkBatch(
       payload, 1, error,
       [&](const unsigned char* p, std::uint32_t i, std::uint32_t len) {
@@ -248,7 +229,8 @@ bool validateBatchRequest(const std::string& payload,
                   std::to_string(max_item_payload) + "-byte item cap";
           return false;
         }
-        ++count;
+        out.push_back({static_cast<PayloadKind>(p[0]),
+                       std::string(reinterpret_cast<const char*>(p + 5), len)});
         return true;
       });
 }

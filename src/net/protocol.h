@@ -140,7 +140,9 @@ void encodeFrame(const Frame& frame, std::string& out,
 //                      u8 status (Status), u8 kind, u32 len, len bytes
 //
 // Items are independent dags; the reply carries one entry per item so a
-// malformed or expired item degrades only itself, never the batch.
+// malformed or expired item degrades only itself, never the batch. The
+// envelope itself is all-or-nothing: a truncated envelope, an unknown
+// item kind or an item over the single-frame cap fails the whole frame.
 // ---------------------------------------------------------------------
 
 struct BatchItem {
@@ -165,28 +167,22 @@ struct BatchItemReply {
     const std::vector<BatchItem>& items);
 
 /// Parses a kBatchRequest payload. Returns false (with `error` set) on
-/// any structural violation — truncation, trailing bytes, unknown kind.
-/// Never throws: batch envelopes arrive from the network.
+/// any structural violation — truncation, trailing bytes, unknown kind —
+/// or on an item larger than `max_item_payload`. Never throws: batch
+/// envelopes arrive from the network. The server decodes each envelope
+/// once, on arrival, so a malformed one is answered kFailed before it
+/// holds an admission slot.
 [[nodiscard]] bool decodeBatchRequest(const std::string& payload,
+                                      std::uint32_t max_item_payload,
                                       std::vector<BatchItem>& out,
                                       std::string& error);
-
-/// Structure-only scan of a kBatchRequest payload: validates the
-/// envelope (and that every item is within `max_item_payload`) without
-/// copying item bytes. Sets `count` to the number of items. Used by the
-/// server before admission, so a malformed envelope is rejected without
-/// burning a queue slot.
-[[nodiscard]] bool validateBatchRequest(const std::string& payload,
-                                        std::uint32_t max_item_payload,
-                                        std::size_t& count,
-                                        std::string& error);
 
 /// Serializes per-item replies into a kBatchResponse payload.
 [[nodiscard]] std::string encodeBatchResponse(
     const std::vector<BatchItemReply>& items);
 
-/// Parses a kBatchResponse payload; same contract as
-/// decodeBatchRequest().
+/// Parses a kBatchResponse payload. Returns false (with `error` set) on
+/// any structural violation; never throws.
 [[nodiscard]] bool decodeBatchResponse(const std::string& payload,
                                        std::vector<BatchItemReply>& out,
                                        std::string& error);

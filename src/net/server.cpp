@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/admission.h"
 #include "net/poller.h"
 #include "net/wakeup.h"
 #include "obs/metrics.h"
@@ -49,16 +50,15 @@ Status toWireStatus(service::RequestStatus s) {
   return Status::kFailed;
 }
 
-tenant::Outcome toTenantOutcome(service::RequestStatus s) {
-  switch (s) {
-    case service::RequestStatus::kOk: return tenant::Outcome::kOk;
-    case service::RequestStatus::kDegraded: return tenant::Outcome::kDegraded;
-    case service::RequestStatus::kRejected: return tenant::Outcome::kRejected;
-    case service::RequestStatus::kShed: return tenant::Outcome::kShed;
-    case service::RequestStatus::kFailed: return tenant::Outcome::kFailed;
-    case service::RequestStatus::kExpired: return tenant::Outcome::kExpired;
+/// A reply's payload: the output when usable, otherwise its error text
+/// (or the status name when it has none).
+std::string replyText(service::Reply& reply, Status status) {
+  if (reply.status == service::RequestStatus::kOk ||
+      reply.status == service::RequestStatus::kDegraded) {
+    return std::move(reply.output);
   }
-  return tenant::Outcome::kFailed;
+  return reply.error.empty() ? std::string(statusName(status))
+                             : std::move(reply.error);
 }
 
 /// The net and service PayloadKind enums mirror each other by value;
@@ -130,6 +130,16 @@ std::uint16_t localPort(int fd) {
 }  // namespace
 
 struct Server::Impl {
+  /// A decoded request frame on its way through admission. A batch
+  /// envelope is decoded once, on arrival, into `items`.
+  struct Pending {
+    Frame frame;
+    std::vector<BatchItem> items;
+    /// Absolute wire-deadline expiry on the nowSeconds() clock (0 = the
+    /// frame carries no deadline).
+    double expiry_s = 0.0;
+  };
+
   struct Connection {
     std::uint64_t id = 0;
     util::UniqueFd fd;
@@ -141,14 +151,9 @@ struct Server::Impl {
     enum class Mode { kUnknown, kFraming, kHttp } mode = Mode::kUnknown;
     std::string http_buf;
     std::size_t in_flight = 0;
-    /// One decoded frame parked while the admission gate is full
-    /// (kBlock policy); reads stay paused until it dispatches.
-    std::optional<Frame> parked;
-    /// Absolute expiry of the parked frame's wire deadline on the
-    /// nowSeconds() clock (0 = the frame carries no deadline). A parked
-    /// frame that outlives it is answered kExpired instead of waiting
-    /// for a gate slot its caller no longer wants.
-    double parked_deadline_s = 0.0;
+    /// One request parked by a kBlock admission denial; reads stay
+    /// paused until it dispatches or expires.
+    std::optional<Pending> parked;
     bool paused = false;   ///< read interest withdrawn (gate / drain)
     bool closing = false;  ///< close once `out` flushes
     Clock::time_point last_activity;
@@ -368,22 +373,15 @@ struct Server::Impl {
     }
 
     void adoptInbox() {
+      // Handed off just as the stop landed: close unserved.
+      if (draining_) return dropInbox();
       std::vector<util::UniqueFd> batch;
       {
         std::lock_guard<std::mutex> lock(inbox_mu_);
         if (inbox_.empty()) return;
         batch.swap(inbox_);
       }
-      for (util::UniqueFd& fd : batch) {
-        if (draining_) {
-          // Handed off just as the stop landed: close unserved.
-          impl->open_conns_.fetch_sub(1, std::memory_order_relaxed);
-          impl->connections_closed.add();
-          fd.reset();
-          continue;
-        }
-        adopt(std::move(fd));
-      }
+      for (util::UniqueFd& fd : batch) adopt(std::move(fd));
     }
 
     void dropInbox() {
@@ -535,9 +533,8 @@ struct Server::Impl {
         // Readiness: live AND able to admit a request right now, across
         // every shard (gate and drain state are global). Reported 503 so
         // load balancers need no body parsing.
-        const std::size_t in_flight =
-            impl->in_flight_.load(std::memory_order_relaxed);
-        const bool gate_full = in_flight >= impl->max_in_flight_;
+        const std::size_t in_flight = impl->admission_.inFlight();
+        const bool gate_full = in_flight >= impl->admission_.capacity();
         const bool draining =
             draining_ || impl->stop_requested_.load(std::memory_order_relaxed);
         const bool ready = !draining && !gate_full;
@@ -549,7 +546,7 @@ struct Server::Impl {
         out << "{\"ready\":" << (ready ? "true" : "false")
             << ",\"draining\":" << (draining ? "true" : "false")
             << ",\"in_flight\":" << in_flight
-            << ",\"max_in_flight\":" << impl->max_in_flight_
+            << ",\"max_in_flight\":" << impl->admission_.capacity()
             << ",\"parked\":" << parked
             << ",\"reactors\":" << impl->num_shards_ << "}\n";
         body = std::move(out).str();
@@ -573,143 +570,150 @@ struct Server::Impl {
       return flushConn(conn);
     }
 
-    /// Decodes and dispatches frames until the buffer runs dry, the
-    /// gate pauses the connection, or a protocol error ends it. False
-    /// when the connection was closed.
+    /// Decodes frames and hands each to admitOrPark() until the buffer
+    /// runs dry, a denial parks the connection, or a protocol error ends
+    /// it. False when the connection was closed.
     bool processFrames(Connection* conn) {
       while (!conn->paused && !draining_) {
-        Frame frame;
+        Pending p;
+        Frame& frame = p.frame;
         switch (conn->decoder.next(frame)) {
           case FrameDecoder::Result::kNeedMore:
             return true;
-          case FrameDecoder::Result::kError: {
+          case FrameDecoder::Result::kError:
             impl->protocol_errors.add();
-            Frame err;
-            err.type = FrameType::kResponse;
-            err.status = Status::kProtocolError;
-            err.payload = conn->decoder.error();
-            encodeFrame(err, conn->out, impl->config_.max_payload);
             conn->closing = true;
             conn->paused = true;
-            updateInterest(conn);
-            return flushConn(conn);
-          }
+            return answer(conn, Status::kProtocolError, 0, 0,
+                          conn->decoder.error());
           case FrameDecoder::Result::kFrame:
             break;
         }
         if (frame.type != FrameType::kRequest &&
             frame.type != FrameType::kBatchRequest) {
           impl->protocol_errors.add();
-          Frame err;
-          err.type = FrameType::kResponse;
-          err.status = Status::kProtocolError;
-          err.request_id = frame.request_id;
-          err.payload = "expected a request frame";
-          encodeFrame(err, conn->out, impl->config_.max_payload);
           conn->closing = true;
           conn->paused = true;
-          updateInterest(conn);
-          return flushConn(conn);
+          return answer(conn, Status::kProtocolError, frame.request_id, 0,
+                        "expected a request frame");
         }
         impl->frames_received.add();
         if (frame.type == FrameType::kBatchRequest) {
-          // Scan the envelope before burning an admission slot: the
-          // framing is intact, so a malformed envelope is a content
-          // error — answer kFailed and keep the connection alive. The
-          // real decode runs in dispatch(); a parked frame keeps the
-          // raw (already validated) envelope.
-          std::size_t item_count = 0;
+          // Decode the envelope before admission: the framing is intact,
+          // so a malformed envelope is a content error — answer kFailed
+          // and keep the connection, without holding a slot.
           std::string env_err;
-          if (!validateBatchRequest(frame.payload, impl->config_.max_payload,
-                                    item_count, env_err)) {
-            Frame rej;
-            rej.type = FrameType::kResponse;
-            rej.status = Status::kFailed;
-            rej.request_id = frame.request_id;
-            rej.tenant = frame.tenant;
-            rej.payload = std::move(env_err);
-            encodeFrame(rej, conn->out, impl->config_.max_payload);
-            impl->responses_sent.add();
-            if (!flushConn(conn)) return false;
+          if (!decodeBatchRequest(frame.payload, impl->config_.max_payload,
+                                  p.items, env_err)) {
+            if (!answer(conn, Status::kFailed, frame.request_id,
+                        frame.tenant, std::move(env_err))) {
+              return false;
+            }
             continue;
           }
+          frame.payload = {};  // the items own the bytes now
         }
-        // Two-stage admission: the global gate first (one shared atomic
-        // — the cheaper check, and it caps total work in the service),
-        // then the tenant's token bucket and in-flight cap. A denial
-        // from either maps onto the same backpressure policy: answer
-        // kRejected under kReject, park the frame under kBlock. The
-        // gate slot is released if the tenant stage denies.
-        const char* deny = nullptr;
-        bool tenant_denied = false;
-        if (!impl->tryAcquireGate()) {
-          deny = "admission gate full";
-        } else {
-          switch (impl->registry_.tryAdmit(frame.tenant,
-                                           impl->nowSeconds())) {
-            case tenant::Admission::kAdmit:
-              break;
-            case tenant::Admission::kQuota:
-              deny = "tenant quota exceeded";
-              tenant_denied = true;
-              break;
-            case tenant::Admission::kInFlightCap:
-              deny = "tenant in-flight cap reached";
-              tenant_denied = true;
-              break;
-          }
-          if (deny != nullptr) impl->releaseGate();
+        const double now_s = impl->nowSeconds();
+        if (frame.deadline_ms > 0) {
+          p.expiry_s = now_s + static_cast<double>(frame.deadline_ms) / 1e3;
         }
-        if (deny != nullptr) {
-          if (impl->config_.service.backpressure ==
-              service::BackpressurePolicy::kReject) {
-            (tenant_denied ? impl->tenant_rejected : impl->gate_rejected)
-                .add();
-            impl->registry_.recordRejected(frame.tenant);
-            Frame rej;
-            rej.type = FrameType::kResponse;
-            rej.status = Status::kRejected;
-            rej.request_id = frame.request_id;
-            rej.tenant = frame.tenant;
-            rej.payload = deny;
-            encodeFrame(rej, conn->out, impl->config_.max_payload);
-            if (!flushConn(conn)) return false;
-            continue;
-          }
-          // kBlock: park the frame and stop reading this connection;
-          // the unread bytes stay in the kernel buffer and TCP flow
-          // control pushes back on the client. resumePaused() retries
-          // admission every tick (and whenever a sibling shard frees
-          // gate slots) — a gate slot or a refilled token unparks it,
-          // and a wire deadline bounds how long the wait may last.
-          conn->parked_deadline_s =
-              frame.deadline_ms > 0
-                  ? impl->nowSeconds() +
-                        static_cast<double>(frame.deadline_ms) / 1e3
-                  : 0.0;
-          conn->parked = std::move(frame);
-          conn->paused = true;
-          parked_frames_.fetch_add(1, std::memory_order_relaxed);
-          updateInterest(conn);
-          return true;
-        }
-        dispatch(conn, std::move(frame));
+        if (!admitOrPark(conn, std::move(p), now_s)) return false;
       }
       return true;
     }
 
-    /// Submits an ALREADY-ADMITTED frame (gate slot held and
-    /// registry tryAdmit succeeded) to the service; the paired
-    /// registry recordReply runs when the completion drains.
-    void dispatch(Connection* conn, Frame frame) {
-      // The wire budget (already net of parked time) becomes the
-      // service-side budget: spent in the work queue the request
-      // answers kExpired, and the remainder tightens the compute
+    /// The one admission routine, for fresh and parked requests alike
+    /// (DESIGN.md §11 "Backpressure mapping"): a request whose wire
+    /// deadline is spent is answered kExpired without being admitted;
+    /// otherwise it dispatches, is answered kRejected (kReject), or
+    /// parks and pauses the connection (kBlock). False when the
+    /// connection was closed.
+    bool admitOrPark(Connection* conn, Pending p, double now_s) {
+      const Frame& frame = p.frame;
+      if (p.expiry_s > 0.0 && now_s >= p.expiry_s) {
+        impl->requests_expired.add();
+        impl->registry_.recordExpired(frame.tenant);
+        return answer(conn, Status::kExpired, frame.request_id, frame.tenant,
+                      "deadline expired before admission");
+      }
+      const Admission::Verdict verdict =
+          impl->admission_.tryAdmit(frame.tenant, now_s);
+      if (verdict == Admission::Verdict::kAdmitted) {
+        dispatch(conn, std::move(p), now_s);
+        return true;
+      }
+      if (impl->config_.service.backpressure ==
+          service::BackpressurePolicy::kReject) {
+        (verdict == Admission::Verdict::kGateFull ? impl->gate_rejected
+                                                  : impl->tenant_rejected)
+            .add();
+        impl->registry_.recordRejected(frame.tenant);
+        return answer(conn, Status::kRejected, frame.request_id, frame.tenant,
+                      Admission::reason(verdict));
+      }
+      // kBlock: park the request and stop reading this connection; the
+      // unread bytes stay in the kernel buffer and TCP flow control
+      // pushes back on the client. resumePaused() retries every tick and
+      // whenever a sibling shard frees gate slots.
+      conn->parked = std::move(p);
+      parked_frames_.fetch_add(1, std::memory_order_relaxed);
+      if (!conn->paused) {  // a retried request is paused already
+        conn->paused = true;
+        updateInterest(conn);
+      }
+      return true;
+    }
+
+    /// Writes one reply frame and flushes it. Every reply the server
+    /// sends goes through here, so responses_sent counts all of them.
+    /// False when the connection was closed.
+    bool answer(Connection* conn, Frame resp) {
+      const std::uint32_t cap = resp.type == FrameType::kBatchResponse
+                                    ? impl->max_batch_payload_
+                                    : impl->config_.max_payload;
+      if (resp.payload.size() > cap) {
+        // The instrumented output always outgrows its input, so a valid
+        // request near the cap can yield an unencodable reply; answer
+        // kFailed instead of letting encodeFrame throw out of the loop.
+        impl->responses_oversized.add();
+        const std::size_t size = resp.payload.size();
+        resp.type = FrameType::kResponse;
+        resp.payload_kind = PayloadKind::kDagmanText;
+        resp.status = Status::kFailed;
+        resp.payload = "response of ";
+        resp.payload += std::to_string(size);
+        resp.payload += " bytes exceeds the ";
+        resp.payload += std::to_string(cap);
+        resp.payload += "-byte frame cap";
+        if (resp.payload.size() > cap) resp.payload.resize(cap);
+      }
+      encodeFrame(resp, conn->out, cap);
+      impl->responses_sent.add();
+      return flushConn(conn);
+    }
+
+    bool answer(Connection* conn, Status status, std::uint64_t request_id,
+                std::uint32_t tenant, std::string text) {
+      Frame resp;
+      resp.type = FrameType::kResponse;
+      resp.status = status;
+      resp.request_id = request_id;
+      resp.tenant = tenant;
+      resp.payload = std::move(text);
+      return answer(conn, std::move(resp));
+    }
+
+    /// Submits an admitted request to the service; its completion
+    /// releases the admission slot when it drains.
+    void dispatch(Connection* conn, Pending p, double now_s) {
+      // The wire budget, net of any time spent parked (floored at 1 ms
+      // so the service still sees and expires a nonzero deadline),
+      // becomes the service-side budget: spent in the work queue the
+      // request answers kExpired, and the remainder tightens the compute
       // CancelToken.
       const double deadline_s =
-          frame.deadline_ms > 0
-              ? static_cast<double>(frame.deadline_ms) / 1e3
-              : 0.0;
+          p.expiry_s > 0.0 ? std::max(1e-3, p.expiry_s - now_s) : 0.0;
+      const Frame& frame = p.frame;
       const bool batch = frame.type == FrameType::kBatchRequest;
       auto complete = [shard = this, conn_id = conn->id,
                        request_id = frame.request_id, tenant = frame.tenant,
@@ -721,55 +725,29 @@ struct Server::Impl {
         }
         shard->impl->signalShard(*shard);
       };
-      if (batch) {
-        service::BatchRequest request;
-        std::vector<BatchItem> items;
-        std::string env_err;
-        // Validated before admission, so this decode cannot fail; the
-        // guard keeps a framing bug from throwing out of the loop.
-        if (!decodeBatchRequest(frame.payload, items, env_err)) {
-          impl->releaseGate();
-          impl->registry_.recordReply(frame.tenant, tenant::Outcome::kFailed,
-                                      false, 0.0);
-          Frame rej;
-          rej.type = FrameType::kResponse;
-          rej.status = Status::kFailed;
-          rej.request_id = frame.request_id;
-          rej.tenant = frame.tenant;
-          rej.payload = std::move(env_err);
-          encodeFrame(rej, conn->out, impl->config_.max_payload);
-          impl->responses_sent.add();
-          flushConn(conn);
-          return;
-        }
-        request.items.reserve(items.size());
-        for (BatchItem& item : items) {
-          service::Payload payload;
-          payload.kind = toServiceKind(item.kind);
-          payload.bytes = std::move(item.bytes);
-          request.items.push_back(std::move(payload));
-        }
+      ++conn->in_flight;
+      ++outstanding_;
+      impl->requests_in_flight.set(impl->admission_.inFlight());
+      const auto submit = [&](auto request) {
         request.trace_id = frame.trace_id;
         request.tenant = frame.tenant;
         request.deadline_s = deadline_s;
-        ++conn->in_flight;
-        ++outstanding_;
-        impl->requests_in_flight.set(
-            impl->in_flight_.load(std::memory_order_relaxed));
         impl->service_.submitCallback(std::move(request), std::move(complete));
-        return;
+      };
+      if (batch) {
+        service::BatchRequest request;
+        request.items.reserve(p.items.size());
+        for (BatchItem& item : p.items) {
+          request.items.push_back(service::Payload{
+              toServiceKind(item.kind), std::move(item.bytes)});
+        }
+        submit(std::move(request));
+      } else {
+        service::Request request;
+        request.payload.kind = toServiceKind(frame.payload_kind);
+        request.payload.bytes = std::move(p.frame.payload);
+        submit(std::move(request));
       }
-      service::Request request;
-      request.payload.kind = toServiceKind(frame.payload_kind);
-      request.payload.bytes = std::move(frame.payload);
-      request.trace_id = frame.trace_id;
-      request.tenant = frame.tenant;
-      request.deadline_s = deadline_s;
-      ++conn->in_flight;
-      ++outstanding_;
-      impl->requests_in_flight.set(
-          impl->in_flight_.load(std::memory_order_relaxed));
-      impl->service_.submitCallback(std::move(request), std::move(complete));
     }
 
     void drainCompletions() {
@@ -780,13 +758,11 @@ struct Server::Impl {
       }
       if (batch.empty()) return;
       for (Completion& c : batch) {
-        impl->releaseGate();
         --outstanding_;
-        // Account the reply to its tenant (and release its in-flight
-        // slot) even when the connection died — the work was done
-        // either way.
-        impl->registry_.recordReply(c.tenant, toTenantOutcome(c.reply.status),
-                                    c.reply.cache_hit, c.reply.latency_s);
+        // Free the slot and account the reply to its tenant even when
+        // the connection died — the work was done either way.
+        impl->admission_.release(c.tenant, c.reply.status, c.reply.cache_hit,
+                                 c.reply.latency_s);
         auto it = conns_by_id_.find(c.conn_id);
         if (it == conns_by_id_.end()) {
           impl->responses_dropped.add();
@@ -803,71 +779,36 @@ struct Server::Impl {
         resp.request_id = c.request_id;
         resp.trace_id = c.reply.trace_id;
         if (c.batch) {
-          // Re-encode the per-item replies as a kBatchResponse
-          // envelope, in request order. Failures degrade per item; a
-          // whole-batch failure (the oversized downgrade below) is
-          // answered as a plain kResponse carrying the error text.
+          // Re-encode the per-item replies as a kBatchResponse envelope,
+          // in request order. Failures degrade per item.
           resp.type = FrameType::kBatchResponse;
           std::vector<BatchItemReply> item_replies;
           item_replies.reserve(c.reply.items.size());
           for (service::Reply& item : c.reply.items) {
-            BatchItemReply r;
-            r.status = toWireStatus(item.status);
-            r.kind = toWireKind(item.output_kind);
-            r.payload =
-                (item.status == service::RequestStatus::kOk ||
-                 item.status == service::RequestStatus::kDegraded)
-                    ? std::move(item.output)
-                    : (item.error.empty() ? std::string(statusName(r.status))
-                                          : std::move(item.error));
-            item_replies.push_back(std::move(r));
+            const Status status = toWireStatus(item.status);
+            item_replies.push_back(
+                {status, toWireKind(item.output_kind),
+                 replyText(item, status)});
           }
           resp.payload = encodeBatchResponse(item_replies);
         } else {
           resp.type = FrameType::kResponse;
           resp.payload_kind = toWireKind(c.reply.output_kind);
-          resp.payload = (c.reply.status == service::RequestStatus::kOk ||
-                          c.reply.status == service::RequestStatus::kDegraded)
-                             ? std::move(c.reply.output)
-                             : (c.reply.error.empty()
-                                    ? std::string(statusName(resp.status))
-                                    : std::move(c.reply.error));
+          resp.payload = replyText(c.reply, resp.status);
         }
-        const std::uint32_t cap =
-            c.batch ? impl->max_batch_payload_ : impl->config_.max_payload;
-        if (resp.payload.size() > cap) {
-          // The instrumented output always outgrows its input, so a
-          // valid request near the cap can yield an unencodable reply;
-          // answer kFailed instead of letting encodeFrame throw out of
-          // the loop.
-          impl->responses_oversized.add();
-          resp.type = FrameType::kResponse;
-          resp.payload_kind = PayloadKind::kDagmanText;
-          resp.status = Status::kFailed;
-          resp.payload = "response of " +
-                         std::to_string(resp.payload.size()) +
-                         " bytes exceeds the " + std::to_string(cap) +
-                         "-byte frame cap";
-          if (resp.payload.size() > cap) {
-            resp.payload.resize(cap);
-          }
-        }
-        encodeFrame(resp, conn->out, cap);
-        impl->responses_sent.add();
-        flushConn(conn);
+        answer(conn, std::move(resp));
       }
-      impl->requests_in_flight.set(
-          impl->in_flight_.load(std::memory_order_relaxed));
+      impl->requests_in_flight.set(impl->admission_.inFlight());
       // The slots just released may be exactly what a sibling's parked
       // frame is waiting for; don't leave the unpark to the 50ms tick.
       impl->wakeParkedSiblings(this);
     }
 
-    /// Re-opens gated connections whose parked frame now passes
-    /// admission: the parked frame dispatches first, then buffered
-    /// frames, then socket reads. Checked per connection, not globally
-    /// — one tenant stuck on an empty token bucket must not stall other
-    /// tenants' connections behind it.
+    /// Retries admission for every parked request. Checked per
+    /// connection, not globally — one tenant stuck on an empty token
+    /// bucket must not stall other tenants' connections behind it. A
+    /// connection whose request left the parking lot resumes: buffered
+    /// frames first, then socket reads.
     void resumePaused() {
       // Ids, not iterators: processFrames() can close connections,
       // which erases from the map being walked.
@@ -880,50 +821,13 @@ struct Server::Impl {
         if (it == conns_by_id_.end()) continue;
         Connection* conn = it->second;
         if (conn->parked.has_value()) {
-          const double now_s = impl->nowSeconds();
-          if (conn->parked_deadline_s > 0.0 &&
-              now_s >= conn->parked_deadline_s) {
-            // The budget died in the parking lot: answer kExpired
-            // without admitting (no token burned, no in-flight slot),
-            // then resume reading — the connection itself is healthy.
-            Frame frame = std::move(*conn->parked);
-            conn->parked.reset();
-            conn->parked_deadline_s = 0.0;
-            parked_frames_.fetch_sub(1, std::memory_order_relaxed);
-            impl->requests_expired.add();
-            impl->registry_.recordExpired(frame.tenant);
-            Frame resp;
-            resp.type = FrameType::kResponse;
-            resp.status = Status::kExpired;
-            resp.request_id = frame.request_id;
-            resp.tenant = frame.tenant;
-            resp.payload = "deadline expired before admission";
-            encodeFrame(resp, conn->out, impl->config_.max_payload);
-            impl->responses_sent.add();
-            conn->paused = false;
-            if (!flushConn(conn)) continue;
-            processFrames(conn);
-            continue;
-          }
-          if (!impl->tryAcquireGate()) continue;
-          if (impl->registry_.tryAdmit(conn->parked->tenant, now_s) !=
-              tenant::Admission::kAdmit) {
-            impl->releaseGate();
-            continue;  // still over quota / cap; retry next tick
-          }
-          Frame frame = std::move(*conn->parked);
+          Pending p = std::move(*conn->parked);
           conn->parked.reset();
+          // Still counted while the retry runs, so a sibling that frees
+          // a slot meanwhile wakes this shard for another try.
+          const bool open = admitOrPark(conn, std::move(p), impl->nowSeconds());
           parked_frames_.fetch_sub(1, std::memory_order_relaxed);
-          if (conn->parked_deadline_s > 0.0) {
-            // Shrink the budget by the time spent parked, floored at
-            // 1 ms so the service still sees (and expires) a nonzero
-            // deadline.
-            const double remaining_s = conn->parked_deadline_s - now_s;
-            frame.deadline_ms = static_cast<std::uint32_t>(
-                std::max(1.0, remaining_s * 1e3));
-            conn->parked_deadline_s = 0.0;
-          }
-          dispatch(conn, std::move(frame));
+          if (!open || conn->parked.has_value()) continue;
         }
         conn->paused = false;
         updateInterest(conn);
@@ -1001,18 +905,11 @@ struct Server::Impl {
         requests_in_flight(net_registry_.gauge("requests_in_flight")),
         loop_stall_max_us(net_registry_.gauge("loop_stall_max_us")),
         registry_(config.tenant_defaults),
+        admission_(config.max_in_flight, config.service, registry_),
         service_(withTenantRegistry(config.service, &registry_)) {
     for (const auto& [id, tenant_config] : config_.tenants) {
       registry_.configure(id, tenant_config);
     }
-    // Under kBlock the service's submit() blocks on a full queue; keep
-    // the gate within the queue capacity so a loop thread never can.
-    max_in_flight_ = config_.max_in_flight == 0 ? 1 : config_.max_in_flight;
-    if (config_.service.backpressure == service::BackpressurePolicy::kBlock &&
-        max_in_flight_ > config_.service.queue_capacity) {
-      max_in_flight_ = config_.service.queue_capacity;
-    }
-
     // Batch envelopes may deliberately exceed the single-dag frame cap;
     // 0 defaults to 4x (computed in 64 bits so a near-max cap saturates
     // instead of wrapping).
@@ -1082,23 +979,7 @@ struct Server::Impl {
     for (const auto& shard : shards_) signalShard(*shard);
   }
 
-  // ------------------------------------------------------------ gate
-
-  /// Claims one of the max_in_flight_ global gate slots. Lock-free;
-  /// called from every shard.
-  [[nodiscard]] bool tryAcquireGate() {
-    std::size_t cur = in_flight_.load(std::memory_order_relaxed);
-    while (cur < max_in_flight_) {
-      if (in_flight_.compare_exchange_weak(cur, cur + 1,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void releaseGate() { in_flight_.fetch_sub(1, std::memory_order_acq_rel); }
+  // ---------------------------------------------------------- wakeups
 
   void signalShard(Shard& shard) noexcept {
     wakeups_signaled.add();
@@ -1175,7 +1056,6 @@ struct Server::Impl {
   /// prio_net_loop_stall_max_us.
   obs::Gauge& loop_stall_max_us;
 
-  std::size_t max_in_flight_ = 1;
   /// Resolved payload cap for kBatchRequest frames (never 0; see
   /// ServerConfig::max_batch_payload).
   std::uint32_t max_batch_payload_ = kMaxPayload;
@@ -1183,15 +1063,13 @@ struct Server::Impl {
   bool reuseport_ = false;  ///< one SO_REUSEPORT listener per shard
   std::uint16_t bound_port_ = 0;
 
-  /// The global admission gate: requests inside the service across all
-  /// shards. Shards acquire with a CAS loop, release per completion.
-  std::atomic<std::size_t> in_flight_{0};
   /// Live connections across all shards (including handed-off fds not
   /// yet adopted) — the max_connections reservation counter.
   std::atomic<std::size_t> open_conns_{0};
   std::atomic<bool> stop_requested_{false};
 
-  /// Epoch for the registry's token-bucket clock (monotonic seconds).
+  /// Epoch of nowSeconds(), the clock admission and parked-frame
+  /// expiry run on (monotonic seconds).
   const Clock::time_point epoch_ = Clock::now();
 
   std::mutex run_error_mu_;
@@ -1208,6 +1086,8 @@ struct Server::Impl {
   /// service, whose fair queue reads weights from it until the workers
   /// join.
   tenant::TenantRegistry registry_;
+  /// The gate plus the tenant stage, shared by every shard.
+  Admission admission_;
   /// Declared last so it is destroyed first: the destructor joins the
   /// workers while the shards their completion callbacks signal are
   /// still alive.

@@ -28,15 +28,17 @@
 //     with the admission gate saturated) — then closed. All counters
 //     live in one shared lock-free registry, so the snapshot any shard
 //     serves aggregates across every shard.
-//   - Admission gate: at most max_in_flight requests may be inside the
-//     service at once — one atomic shared by all shards, so the cap is
-//     global, not per-shard. Under kBlock a full gate pauses reading
-//     from the connection (TCP backpressure reaches the client) and the
-//     frame parks; a shard that frees gate slots wakes every sibling
-//     with parked frames so cross-shard unparks don't wait for the tick.
-//     Under kReject the request is answered Status::kRejected. The
-//     tenant token-bucket quota and in-flight cap sit behind the same
-//     gate (the registry is internally synchronized).
+//   - Admission (net/admission.h; contract in DESIGN.md §11
+//     "Backpressure mapping"): one net::Admission shared by all shards
+//     holds the global gate of max_in_flight requests, then the tenant
+//     quota and in-flight cap. Fresh and parked frames pass the same
+//     admitOrPark routine: a denial answers Status::kRejected under
+//     kReject, or parks the frame and pauses reading under kBlock (TCP
+//     backpressure reaches the client). A shard that frees slots wakes
+//     every sibling with parked frames. A batch envelope is decoded
+//     once, before admission.
+//   - Every reply frame leaves through one writer, so responses_sent
+//     counts results, rejections, expiries and protocol errors alike.
 //   - Idle reaping is O(expired), not O(connections): each shard keeps
 //     its connections on an intrusive LRU list ordered by last activity
 //     and pops from the cold end until it meets a live one.

@@ -128,6 +128,21 @@ Histogram& Registry::histogram(std::string_view name) {
   return histograms_.emplace_back(std::string(name));
 }
 
+HistogramSnapshot Histogram::snapshot() const {
+  HistogramSnapshot hs;
+  hs.name = name_;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    hs.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
+    // Derive count from the bucket reads instead of the separate count_
+    // atomic: a snapshot taken mid-record() would otherwise see the two
+    // skewed, and Prometheus requires _bucket{le="+Inf"} == _count.
+    hs.count += hs.buckets[b];
+  }
+  hs.sum_us = sum_us_.load(std::memory_order_relaxed);
+  hs.max_us = max_us_.load(std::memory_order_relaxed);
+  return hs;
+}
+
 Snapshot Registry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Snapshot out;
@@ -137,19 +152,7 @@ Snapshot Registry::snapshot() const {
   for (const Gauge& g : gauges_) out.gauges.emplace_back(g.name(), g.get());
   out.histograms.reserve(histograms_.size());
   for (const Histogram& h : histograms_) {
-    HistogramSnapshot hs;
-    hs.name = h.name();
-    hs.count = 0;
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      hs.buckets[b] = h.buckets_[b].load(std::memory_order_relaxed);
-      // Derive count from the bucket reads instead of the separate count_
-      // atomic: a snapshot taken mid-record() would otherwise see the two
-      // skewed, and Prometheus requires _bucket{le="+Inf"} == _count.
-      hs.count += hs.buckets[b];
-    }
-    hs.sum_us = h.sum_us_.load(std::memory_order_relaxed);
-    hs.max_us = h.max_us_.load(std::memory_order_relaxed);
-    out.histograms.push_back(std::move(hs));
+    out.histograms.push_back(h.snapshot());
   }
   return out;
 }

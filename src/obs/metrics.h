@@ -78,6 +78,8 @@ class Gauge {
   std::atomic<std::uint64_t> v_{0};
 };
 
+struct HistogramSnapshot;
+
 /// Latency histogram with fixed power-of-two-microsecond buckets: bucket i
 /// counts samples in [2^i, 2^(i+1)) us (bucket 0 absorbs sub-microsecond
 /// samples, the last bucket everything above ~2100 s). The same scheme the
@@ -115,8 +117,11 @@ class Histogram {
   }
   [[nodiscard]] const std::string& name() const { return name_; }
 
+  /// Point-in-time copy (relaxed reads; may lag a concurrent record()
+  /// by one sample).
+  [[nodiscard]] HistogramSnapshot snapshot() const;
+
  private:
-  friend class Registry;
   std::string name_;
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};

@@ -14,21 +14,6 @@ std::string displayName(std::uint32_t id, const TenantConfig& config) {
   return "tenant-" + std::to_string(id);
 }
 
-/// Same bucketing as obs::Histogram::record — bucket i counts samples in
-/// [2^i, 2^(i+1)) microseconds — so per-tenant quantiles are directly
-/// comparable with the service-wide latency families.
-std::size_t latencyBucket(double seconds, std::uint64_t& ticks_out) {
-  const double us = seconds * 1e6;
-  const std::uint64_t ticks = us < 1.0 ? 0 : static_cast<std::uint64_t>(us);
-  ticks_out = ticks;
-  std::size_t bucket = 0;
-  while (bucket + 1 < obs::Histogram::kBuckets &&
-         (std::uint64_t{1} << (bucket + 1)) <= ticks) {
-    ++bucket;
-  }
-  return bucket;
-}
-
 void jsonEscape(std::ostream& out, const std::string& s) {
   out << '"';
   for (const char c : s) {
@@ -79,13 +64,14 @@ double TenantRegistry::burstOf(const TenantConfig& config) const {
 }
 
 TenantRegistry::State& TenantRegistry::ensureLocked(std::uint32_t id) const {
-  auto it = tenants_.find(id);
-  if (it != tenants_.end()) return it->second;
-  State state;
-  state.config = defaults_;
-  state.tokens = burstOf(state.config);  // a fresh tenant starts with a
-                                         // full bucket
-  return tenants_.emplace(id, std::move(state)).first->second;
+  const auto [it, inserted] = tenants_.try_emplace(id);
+  State& state = it->second;
+  if (inserted) {
+    state.config = defaults_;
+    state.tokens = burstOf(state.config);  // a fresh tenant starts with a
+                                           // full bucket
+  }
+  return state;
 }
 
 void TenantRegistry::configure(std::uint32_t id, TenantConfig config) {
@@ -175,12 +161,7 @@ void TenantRegistry::recordReply(std::uint32_t id, Outcome outcome,
     case Outcome::kFailed: ++state.failed; break;
     case Outcome::kExpired: ++state.expired; break;
   }
-  std::uint64_t ticks = 0;
-  const std::size_t bucket = latencyBucket(latency_s, ticks);
-  ++state.latency_buckets[bucket];
-  ++state.latency_count;
-  state.latency_sum_us += ticks;
-  state.latency_max_us = std::max(state.latency_max_us, ticks);
+  state.latency.record(latency_s);
 }
 
 std::vector<TenantSnapshot> TenantRegistry::snapshot() const {
@@ -206,11 +187,7 @@ std::vector<TenantSnapshot> TenantRegistry::snapshot() const {
     s.cache_hits = state.cache_hits;
     s.cache_misses = state.cache_misses;
     s.in_flight = state.in_flight;
-    s.latency.name = "tenant.latency";
-    s.latency.buckets = state.latency_buckets;
-    s.latency.count = state.latency_count;
-    s.latency.sum_us = state.latency_sum_us;
-    s.latency.max_us = state.latency_max_us;
+    s.latency = state.latency.snapshot();
     out.push_back(std::move(s));
   }
   return out;

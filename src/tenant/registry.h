@@ -12,9 +12,8 @@
 //              under kReject backpressure or parked under kBlock.
 //   stats    — admitted / rejected / shed / completed / degraded /
 //              failed counters, cache hits and misses, in-flight and
-//              queued depths, and a power-of-two-microsecond latency
-//              histogram (same bucketing as obs::Histogram, so p50/p99
-//              semantics match the service-wide families).
+//              queued depths, and an obs::Histogram of reply latency, so
+//              p50/p99 semantics match the service-wide families.
 //
 // Unknown tenant ids self-register with the default config on first
 // touch — operators opt INTO limits per tenant; an unconfigured tenant is
@@ -27,7 +26,6 @@
 // any per-sample hot path, and the ordering gives stable JSON output.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -173,10 +171,7 @@ class TenantRegistry {
     std::uint64_t cache_misses = 0;
     std::size_t in_flight = 0;
 
-    std::array<std::uint64_t, obs::Histogram::kBuckets> latency_buckets{};
-    std::uint64_t latency_count = 0;
-    std::uint64_t latency_sum_us = 0;
-    std::uint64_t latency_max_us = 0;
+    obs::Histogram latency{"tenant.latency"};
   };
 
   State& ensureLocked(std::uint32_t id) const;

@@ -484,7 +484,7 @@ dag::Digraph makeW(std::size_t a, std::size_t b) {
   dag::Digraph g;
   std::vector<NodeId> sources;
   for (std::size_t i = 0; i < a; ++i) {
-    sources.push_back(g.addNode("s" + std::to_string(i)));
+    sources.push_back(g.addNode(std::string("s").append(std::to_string(i))));
   }
   std::size_t sink_counter = 0;
   NodeId last_sink = 0;
@@ -492,7 +492,8 @@ dag::Digraph makeW(std::size_t a, std::size_t b) {
     if (i > 0) g.addEdge(sources[i], last_sink);  // shared with previous
     const std::size_t fresh = (i == 0) ? b : b - 1;
     for (std::size_t j = 0; j < fresh; ++j) {
-      last_sink = g.addNode("t" + std::to_string(sink_counter++));
+      last_sink = g.addNode(
+          std::string("t").append(std::to_string(sink_counter++)));
       g.addEdge(sources[i], last_sink);
     }
   }
@@ -508,10 +509,10 @@ dag::Digraph makeN(std::size_t d) {
   dag::Digraph g;
   std::vector<NodeId> u, v;
   for (std::size_t i = 0; i < d; ++i) {
-    u.push_back(g.addNode("u" + std::to_string(i)));
+    u.push_back(g.addNode(std::string("u").append(std::to_string(i))));
   }
   for (std::size_t i = 0; i < d; ++i) {
-    v.push_back(g.addNode("v" + std::to_string(i)));
+    v.push_back(g.addNode(std::string("v").append(std::to_string(i))));
   }
   for (std::size_t i = 0; i < d; ++i) {
     g.addEdge(u[i], v[i]);
@@ -525,10 +526,10 @@ dag::Digraph makeCycleDag(std::size_t d) {
   dag::Digraph g;
   std::vector<NodeId> u, v;
   for (std::size_t i = 0; i < d; ++i) {
-    u.push_back(g.addNode("u" + std::to_string(i)));
+    u.push_back(g.addNode(std::string("u").append(std::to_string(i))));
   }
   for (std::size_t i = 0; i < d; ++i) {
-    v.push_back(g.addNode("v" + std::to_string(i)));
+    v.push_back(g.addNode(std::string("v").append(std::to_string(i))));
   }
   for (std::size_t i = 0; i < d; ++i) {
     g.addEdge(u[i], v[i]);
@@ -542,10 +543,10 @@ dag::Digraph makeCompleteBipartite(std::size_t a, std::size_t b) {
   dag::Digraph g;
   std::vector<NodeId> u, v;
   for (std::size_t i = 0; i < a; ++i) {
-    u.push_back(g.addNode("s" + std::to_string(i)));
+    u.push_back(g.addNode(std::string("s").append(std::to_string(i))));
   }
   for (std::size_t j = 0; j < b; ++j) {
-    v.push_back(g.addNode("t" + std::to_string(j)));
+    v.push_back(g.addNode(std::string("t").append(std::to_string(j))));
   }
   for (NodeId s : u) {
     for (NodeId t : v) g.addEdge(s, t);
@@ -558,12 +559,13 @@ dag::Digraph makeCliqueDag(std::size_t q) {
   dag::Digraph g;
   std::vector<NodeId> u;
   for (std::size_t i = 0; i < q; ++i) {
-    u.push_back(g.addNode("u" + std::to_string(i)));
+    u.push_back(g.addNode(std::string("u").append(std::to_string(i))));
   }
   for (std::size_t i = 0; i < q; ++i) {
     for (std::size_t j = i + 1; j < q; ++j) {
-      const NodeId t =
-          g.addNode("t" + std::to_string(i) + "_" + std::to_string(j));
+      std::string name = "t";
+      name.append(std::to_string(i)).append("_").append(std::to_string(j));
+      const NodeId t = g.addNode(std::move(name));
       g.addEdge(u[i], t);
       g.addEdge(u[j], t);
     }

@@ -17,7 +17,7 @@ Digraph chainDag(std::size_t n) {
   Digraph g;
   NodeId prev = g.addNode("n0");
   for (std::size_t i = 1; i < n; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
     g.addEdge(prev, next);
     prev = next;
   }
@@ -36,7 +36,9 @@ TEST(Batch, ChainTakesOneRoundPerJob) {
 
 TEST(Batch, AntichainPacksRounds) {
   Digraph g;
-  for (int i = 0; i < 10; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   const auto r = batchedExecuteFifo(g, 4);
   EXPECT_EQ(r.rounds, 3u);  // 4 + 4 + 2
   EXPECT_EQ(r.round_sizes, (std::vector<std::size_t>{4, 4, 2}));

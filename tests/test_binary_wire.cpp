@@ -317,18 +317,16 @@ TEST(BatchEnvelope, RoundTrip) {
 
   std::vector<net::BatchItem> back;
   std::string error;
-  ASSERT_TRUE(net::decodeBatchRequest(wire, back, error)) << error;
+  ASSERT_TRUE(net::decodeBatchRequest(wire, 16, back, error)) << error;
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].kind, net::PayloadKind::kDagmanText);
   EXPECT_EQ(back[0].bytes, "T");
   EXPECT_EQ(back[1].kind, net::PayloadKind::kBinaryCsr);
   EXPECT_EQ(back[1].bytes, "B");
 
-  std::size_t count = 0;
-  ASSERT_TRUE(net::validateBatchRequest(wire, 16, count, error)) << error;
-  EXPECT_EQ(count, 2u);
   // Per-item cap: a 1-byte item fails a 0-byte cap.
-  EXPECT_FALSE(net::validateBatchRequest(wire, 0, count, error));
+  EXPECT_FALSE(net::decodeBatchRequest(wire, 0, back, error));
+  EXPECT_NE(error.find("item cap"), std::string::npos) << error;
 
   const std::vector<net::BatchItemReply> replies{
       {Status::kOk, net::PayloadKind::kDagmanText, "out"},
@@ -346,31 +344,30 @@ TEST(BatchEnvelope, RoundTrip) {
 
 TEST(BatchEnvelope, MalformedEnvelopesReject) {
   std::vector<net::BatchItem> out;
-  std::size_t count = 0;
   std::string error;
   // Truncated count.
-  EXPECT_FALSE(net::decodeBatchRequest("\x01", out, error));
+  EXPECT_FALSE(net::decodeBatchRequest("\x01", 1024, out, error));
   // Count promises more items than there are bytes.
   std::string overcount;
   putU32(overcount, 3);
   overcount.push_back('\x00');
   putU32(overcount, 1);
   overcount.push_back('x');
-  EXPECT_FALSE(net::decodeBatchRequest(overcount, out, error));
-  EXPECT_FALSE(net::validateBatchRequest(overcount, 1024, count, error));
+  EXPECT_FALSE(net::decodeBatchRequest(overcount, 1024, out, error));
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
   // Trailing junk after the last item.
   std::string trailing =
       net::encodeBatchRequest({{net::PayloadKind::kDagmanText, "x"}});
   trailing.push_back('!');
-  EXPECT_FALSE(net::decodeBatchRequest(trailing, out, error));
+  EXPECT_FALSE(net::decodeBatchRequest(trailing, 1024, out, error));
   // Unknown payload kind.
   std::string bad_kind;
   putU32(bad_kind, 1);
   bad_kind.push_back('\x07');
   putU32(bad_kind, 1);
   bad_kind.push_back('x');
-  EXPECT_FALSE(net::decodeBatchRequest(bad_kind, out, error));
-  EXPECT_FALSE(net::validateBatchRequest(bad_kind, 1024, count, error));
+  EXPECT_FALSE(net::decodeBatchRequest(bad_kind, 1024, out, error));
+  EXPECT_NE(error.find("kind"), std::string::npos) << error;
 }
 
 TEST(NetProtocol, GoldenFrameBytesV3) {

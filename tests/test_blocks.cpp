@@ -325,7 +325,7 @@ TEST(OutdegreeSchedule, ChainStaysInOrder) {
   Digraph g;
   NodeId prev = g.addNode("n0");
   for (int i = 1; i < 6; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
     g.addEdge(prev, next);
     prev = next;
   }

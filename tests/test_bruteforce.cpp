@@ -17,7 +17,7 @@ TEST(CountIdeals, ChainHasLinearlyManyIdeals) {
   Digraph g;
   NodeId prev = g.addNode("n0");
   for (int i = 1; i < 6; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
     g.addEdge(prev, next);
     prev = next;
   }
@@ -27,20 +27,26 @@ TEST(CountIdeals, ChainHasLinearlyManyIdeals) {
 
 TEST(CountIdeals, AntichainHasExponentiallyManyIdeals) {
   Digraph g;
-  for (int i = 0; i < 10; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   EXPECT_EQ(countIdeals(g), 1024u);  // 2^10
 }
 
 TEST(CountIdeals, GuardThrowsOnBlowup) {
   Digraph g;
-  for (int i = 0; i < 30; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 30; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   EXPECT_THROW((void)countIdeals(g, /*max_states=*/1000),
                prio::util::Error);
 }
 
 TEST(MaxEligibilityProfile, Antichain) {
   Digraph g;
-  for (int i = 0; i < 4; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   const auto best = maxEligibilityProfile(g);
   EXPECT_EQ(best, (std::vector<std::size_t>{4, 3, 2, 1, 0}));
 }
@@ -49,7 +55,7 @@ TEST(MaxEligibilityProfile, ForkOut) {
   Digraph g;
   const NodeId a = g.addNode("a");
   for (int i = 0; i < 3; ++i) {
-    g.addEdge(a, g.addNode("t" + std::to_string(i)));
+    g.addEdge(a, g.addNode(std::string("t").append(std::to_string(i))));
   }
   const auto best = maxEligibilityProfile(g);
   EXPECT_EQ(best, (std::vector<std::size_t>{1, 3, 2, 1, 0}));
@@ -95,7 +101,9 @@ TEST(IsICOptimal, AcceptsAndRejects) {
 
 TEST(MaxEligibilityProfile, RequiresAtMost64Nodes) {
   Digraph g;
-  for (int i = 0; i < 65; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 65; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   EXPECT_THROW((void)maxEligibilityProfile(g), prio::util::Error);
 }
 
@@ -117,7 +125,7 @@ TEST(FindICOptimalSchedule, FindsSchedulesForOptimizableDags) {
     Digraph g;
     NodeId prev = g.addNode("n0");
     for (int i = 1; i < 8; ++i) {
-      const NodeId next = g.addNode("n" + std::to_string(i));
+      const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
       g.addEdge(prev, next);
       prev = next;
     }
@@ -178,7 +186,7 @@ TEST(FindICOptimalSchedule, AgreesWithIsICOptimal) {
     Digraph g;
     const NodeId hub = g.addNode("hub");
     for (int i = 0; i < d; ++i) {
-      g.addEdge(hub, g.addNode("t" + std::to_string(i)));
+      g.addEdge(hub, g.addNode(std::string("t").append(std::to_string(i))));
     }
     const auto order = findICOptimalSchedule(g);
     ASSERT_TRUE(order.has_value());

@@ -293,7 +293,7 @@ TEST(ServiceShedding, StaleQueuedRequestsAreShed) {
 TEST(ServiceFaults, ForcedParseFailureIsPermanent) {
   ScopedInjector inj(104);
   Injector::instance().plan("service.parse", {.kind = Kind::kThrowError});
-  PrioService service({.num_threads = 1});
+  PrioService service({.num_threads = 1, .prio_options = {}});
   const std::string path =
       writeTempDag("ok.dag", "Job a a.sub\nJob b b.sub\nPARENT a CHILD b\n");
   const Reply reply = service.submit(FileRequest{path, ""}).get();
@@ -307,7 +307,7 @@ TEST(ServiceFaults, TransientFailureIsMarkedRetryable) {
   ScopedInjector inj(105);
   Injector::instance().plan("service.parse",
                             {.kind = Kind::kThrowTransient});
-  PrioService service({.num_threads = 1});
+  PrioService service({.num_threads = 1, .prio_options = {}});
   const std::string path =
       writeTempDag("ok2.dag", "Job a a.sub\n");
   const Reply reply = service.submit(FileRequest{path, ""}).get();
@@ -329,7 +329,7 @@ TEST(ServiceFaults, TransientFailureIsMarkedRetryable) {
 TEST(CrashSafety, CrashBeforeRenameLeavesNoTornTarget) {
   ScopedInjector inj(106);
   Injector::instance().plan("atomic_file.rename", {.kind = Kind::kCrash});
-  PrioService service({.num_threads = 1});
+  PrioService service({.num_threads = 1, .prio_options = {}});
   const std::string input =
       writeTempDag("crash_in.dag",
                    "Job a a.sub\nJob b b.sub\nPARENT a CHILD b\n");

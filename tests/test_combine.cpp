@@ -99,7 +99,7 @@ TEST(Combine, ProfileClassesGroupIdenticalProfiles) {
   Digraph g;
   NodeId prev = g.addNode("n0");
   for (int i = 1; i < 6; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
     g.addEdge(prev, next);
     prev = next;
   }
@@ -141,18 +141,26 @@ TEST(Combine, IncomparableReadyBlocksAreImperfectButDeterministic) {
   Digraph g;
   // N(4): u0..u3 -> v0..v3 zigzag.
   std::vector<NodeId> u, v;
-  for (int i = 0; i < 4; ++i) u.push_back(g.addNode("u" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) v.push_back(g.addNode("v" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) {
+    u.push_back(g.addNode(std::string("u").append(std::to_string(i))));
+  }
+  for (int i = 0; i < 4; ++i) {
+    v.push_back(g.addNode(std::string("v").append(std::to_string(i))));
+  }
   for (int i = 0; i < 4; ++i) {
     g.addEdge(u[i], v[i]);
     if (i + 1 < 4) g.addEdge(u[i + 1], v[i]);
   }
   // Clique(3): three sources, one sink per pair.
   std::vector<NodeId> q;
-  for (int i = 0; i < 3; ++i) q.push_back(g.addNode("q" + std::to_string(i)));
+  for (int i = 0; i < 3; ++i) {
+    q.push_back(g.addNode(std::string("q").append(std::to_string(i))));
+  }
   for (int i = 0; i < 3; ++i) {
     for (int j = i + 1; j < 3; ++j) {
-      const NodeId t = g.addNode("t" + std::to_string(i) + std::to_string(j));
+      std::string name = "t";
+      name.append(std::to_string(i)).append(std::to_string(j));
+      const NodeId t = g.addNode(std::move(name));
       g.addEdge(q[i], t);
       g.addEdge(q[j], t);
     }

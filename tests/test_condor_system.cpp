@@ -17,7 +17,7 @@ dag::Digraph chainDag(std::size_t n) {
   dag::Digraph g;
   auto prev = g.addNode("n0");
   for (std::size_t i = 1; i < n; ++i) {
-    const auto next = g.addNode("n" + std::to_string(i));
+    const auto next = g.addNode(std::string("n").append(std::to_string(i)));
     g.addEdge(prev, next);
     prev = next;
   }
@@ -48,7 +48,9 @@ TEST(CondorSystem, DeterministicForSeed) {
 TEST(CondorSystem, StagingAccountsResidentJobs) {
   // A wide antichain forwarded unthrottled stages everything at once.
   dag::Digraph g;
-  for (int i = 0; i < 100; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   CondorOptions opt;
   opt.staging_bytes_per_job = 1000;
   opt.slots = 4;

@@ -114,7 +114,8 @@ TEST(LongestPathNodes, ChainAndDiamond) {
   Digraph chain;
   NodeId prev = chain.addNode("n0");
   for (int i = 1; i < 5; ++i) {
-    const NodeId next = chain.addNode("n" + std::to_string(i));
+    const NodeId next = chain.addNode(
+        std::string("n").append(std::to_string(i)));
     chain.addEdge(prev, next);
     prev = next;
   }
@@ -235,7 +236,9 @@ TEST(TopologicalOrder, LexMinOnDescendingChain) {
   // order is the exact reverse of the id order (worst case for the
   // bitmap cursor, which gets pulled back on every extraction).
   Digraph g;
-  for (int i = 0; i < 5; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   for (NodeId u = 4; u > 0; --u) g.addEdge(u, u - 1);
   const auto order = topologicalOrder(g);
   ASSERT_TRUE(order.has_value());
@@ -244,7 +247,9 @@ TEST(TopologicalOrder, LexMinOnDescendingChain) {
 
 TEST(TopologicalOrder, DetectsCycleWithDescendingArcs) {
   Digraph g;
-  for (int i = 0; i < 70; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 70; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   g.addEdge(1, 0);  // descending: disables the identity fast path
   g.addEdge(68, 69);
   g.addEdge(69, 68);  // cycle far from node 0, beyond the first bitmap word

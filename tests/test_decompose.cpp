@@ -46,7 +46,7 @@ TEST(Decompose, ChainPeelsPairwise) {
   Digraph g;
   NodeId prev = g.addNode("n0");
   for (int i = 1; i < 5; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
     g.addEdge(prev, next);
     prev = next;
   }

@@ -128,7 +128,9 @@ TEST(EligibilityProfile, TelescopingIdentity) {
 
 TEST(EligibilityProfile, LastEntryZeroWhenComplete) {
   Digraph g;
-  for (int i = 0; i < 4; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   const std::vector<NodeId> order{0, 1, 2, 3};
   const auto p = eligibilityProfile(g, order);
   EXPECT_EQ(p.front(), 4u);  // all sources

@@ -22,7 +22,9 @@ using dag::NodeId;
 
 Digraph dagFromMask(std::size_t n, std::uint32_t mask) {
   Digraph g;
-  for (std::size_t i = 0; i < n; ++i) g.addNode("n" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   std::size_t bit = 0;
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j, ++bit) {

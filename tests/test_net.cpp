@@ -21,6 +21,7 @@
 
 #include "dagman/dagman_file.h"
 #include "dagman/instrument.h"
+#include "net/admission.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -103,6 +104,15 @@ class ServerFixture {
 struct FaultGuard {
   ~FaultGuard() { util::fault::Injector::instance().disarm(); }
 };
+
+/// Returns once a request has reached the service's parse checkpoint.
+/// The server dispatches only admitted frames, so from then on that
+/// request holds an admission gate slot.
+void waitForFirstParse() {
+  while (util::fault::Injector::instance().fireCount("service.parse") < 1) {
+    std::this_thread::yield();
+  }
+}
 
 // ---------------------------------------------------------------- protocol
 
@@ -432,6 +442,124 @@ TEST(NetProtocol, ManyFramesOneFeed) {
   EXPECT_EQ(dec.next(out), FrameDecoder::Result::kNeedMore);
 }
 
+// --------------------------------------------------------------- admission
+//
+// The admission policy without sockets: the caller supplies the time, so
+// quota refill is driven by now_s instead of sleeps.
+
+using net::Admission;
+using Verdict = net::Admission::Verdict;
+using service::RequestStatus;
+
+service::ServiceConfig policy(service::BackpressurePolicy backpressure,
+                              std::size_t queue_capacity = 256) {
+  service::ServiceConfig config;
+  config.backpressure = backpressure;
+  config.queue_capacity = queue_capacity;
+  return config;
+}
+
+constexpr auto kReject = service::BackpressurePolicy::kReject;
+constexpr auto kBlock = service::BackpressurePolicy::kBlock;
+
+TEST(NetAdmission, GateCapHolds) {
+  tenant::TenantRegistry registry;
+  Admission admission(2, policy(kReject), registry);
+  EXPECT_EQ(admission.capacity(), 2u);
+  EXPECT_EQ(admission.tryAdmit(0, 0.0), Verdict::kAdmitted);
+  EXPECT_EQ(admission.tryAdmit(0, 0.0), Verdict::kAdmitted);
+  EXPECT_EQ(admission.tryAdmit(0, 0.0), Verdict::kGateFull);
+  EXPECT_EQ(admission.inFlight(), 2u);
+  EXPECT_EQ(registry.snapshot()[0].admitted, 2u);
+}
+
+TEST(NetAdmission, FullGateBurnsNoTenantToken) {
+  tenant::TenantRegistry registry;
+  registry.configure(1, {.name = "", .rate_per_s = 0.001, .burst = 1});
+  Admission admission(1, policy(kReject), registry);
+  ASSERT_EQ(admission.tryAdmit(0, 0.0), Verdict::kAdmitted);
+  EXPECT_EQ(admission.tryAdmit(1, 0.0), Verdict::kGateFull);
+  EXPECT_EQ(admission.tryAdmit(1, 0.0), Verdict::kGateFull);
+  admission.release(0, RequestStatus::kOk, false, 0.0);
+  // Tenant 1's single token survived both gate denials.
+  EXPECT_EQ(admission.tryAdmit(1, 0.0), Verdict::kAdmitted);
+  EXPECT_EQ(registry.snapshot()[1].admitted, 1u);
+}
+
+TEST(NetAdmission, TenantDenialReturnsTheGateSlot) {
+  tenant::TenantRegistry registry;
+  registry.configure(1, {.name = "", .max_in_flight = 1});
+  registry.configure(2, {.name = "", .rate_per_s = 0.001, .burst = 1});
+  Admission admission(3, policy(kReject), registry);
+  ASSERT_EQ(admission.tryAdmit(1, 0.0), Verdict::kAdmitted);
+  EXPECT_EQ(admission.tryAdmit(1, 0.0), Verdict::kInFlightCap);
+  EXPECT_EQ(admission.inFlight(), 1u);
+  ASSERT_EQ(admission.tryAdmit(2, 0.0), Verdict::kAdmitted);
+  EXPECT_EQ(admission.tryAdmit(2, 0.0), Verdict::kQuota);
+  EXPECT_EQ(admission.inFlight(), 2u);
+  // The slots the denials briefly held are free for anyone.
+  EXPECT_EQ(admission.tryAdmit(0, 0.0), Verdict::kAdmitted);
+  EXPECT_EQ(admission.tryAdmit(0, 0.0), Verdict::kGateFull);
+}
+
+TEST(NetAdmission, ReleaseFreesGateAndTenantSlots) {
+  tenant::TenantRegistry registry;
+  registry.configure(1, {.name = "", .max_in_flight = 1});
+  Admission admission(2, policy(kReject), registry);
+  ASSERT_EQ(admission.tryAdmit(1, 0.0), Verdict::kAdmitted);
+  EXPECT_EQ(admission.tryAdmit(1, 0.0), Verdict::kInFlightCap);
+
+  admission.release(1, RequestStatus::kOk, /*cache_hit=*/true, 0.002);
+  EXPECT_EQ(admission.inFlight(), 0u);
+  const tenant::TenantSnapshot t = registry.snapshot()[1];
+  EXPECT_EQ(t.in_flight, 0u);
+  EXPECT_EQ(t.completed, 1u);
+  EXPECT_EQ(t.cache_hits, 1u);
+  EXPECT_EQ(t.latency.count, 1u);
+  EXPECT_EQ(admission.tryAdmit(1, 0.0), Verdict::kAdmitted);
+
+  admission.release(1, RequestStatus::kExpired, false, 0.0);
+  EXPECT_EQ(admission.inFlight(), 0u);
+  EXPECT_EQ(registry.snapshot()[1].expired, 1u);
+}
+
+TEST(NetAdmission, BlockPolicyClampsGateToQueueCapacity) {
+  tenant::TenantRegistry registry;
+  EXPECT_EQ(Admission(256, policy(kBlock, 3), registry).capacity(), 3u);
+  EXPECT_EQ(Admission(2, policy(kBlock, 3), registry).capacity(), 2u);
+  // kReject never blocks a loop thread on submit, so it keeps the cap.
+  EXPECT_EQ(Admission(256, policy(kReject, 3), registry).capacity(), 256u);
+  EXPECT_EQ(Admission(0, policy(kReject), registry).capacity(), 1u);
+
+  Admission clamped(256, policy(kBlock, 3), registry);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(clamped.tryAdmit(0, 0.0), Verdict::kAdmitted);
+  }
+  EXPECT_EQ(clamped.tryAdmit(0, 0.0), Verdict::kGateFull);
+}
+
+TEST(NetAdmission, ReasonStringsNameTheStage) {
+  EXPECT_EQ(Admission::reason(Verdict::kAdmitted), nullptr);
+  EXPECT_STREQ(Admission::reason(Verdict::kGateFull), "admission gate full");
+  EXPECT_STREQ(Admission::reason(Verdict::kQuota), "tenant quota exceeded");
+  EXPECT_STREQ(Admission::reason(Verdict::kInFlightCap),
+               "tenant in-flight cap reached");
+}
+
+TEST(NetAdmission, QuotaRefillsWithCallerTime) {
+  tenant::TenantRegistry registry;
+  // 4 tokens/s, burst 1: a token every 0.25 s of caller time.
+  registry.configure(1, {.name = "", .rate_per_s = 4.0, .burst = 1.0});
+  Admission admission(8, policy(kReject), registry);
+  ASSERT_EQ(admission.tryAdmit(1, 8.0), Verdict::kAdmitted);
+  admission.release(1, RequestStatus::kOk, false, 0.0);
+  EXPECT_EQ(admission.tryAdmit(1, 8.0), Verdict::kQuota);
+  EXPECT_EQ(admission.tryAdmit(1, 8.125), Verdict::kQuota);  // half a token
+  EXPECT_EQ(admission.tryAdmit(1, 8.25), Verdict::kAdmitted);
+  EXPECT_EQ(admission.tryAdmit(1, 8.25), Verdict::kQuota);
+  EXPECT_EQ(admission.inFlight(), 1u);
+}
+
 // ------------------------------------------------------------------ socket
 
 TEST(NetSocket, UniqueFdClosesOnDestruction) {
@@ -712,6 +840,8 @@ TEST(NetServer, RejectBackpressureAnswersRejected) {
   EXPECT_EQ(ok + rejected, kRequests);
   EXPECT_EQ(fixture.server().stats().gate_rejected,
             static_cast<std::uint64_t>(rejected));
+  EXPECT_EQ(fixture.server().stats().responses_sent,
+            static_cast<std::uint64_t>(kRequests));
 }
 
 TEST(NetServer, BlockBackpressureLosesNothing) {
@@ -762,8 +892,8 @@ TEST(NetServer, BlockGateParkedConnectionSurvivesIdleTimeout) {
   b.connect("127.0.0.1", fixture.port());
 
   a.send(kFig3);
-  // Let a's frame claim the gate before b's arrives and parks.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // a's frame holds the gate once its parse starts; b's frame then parks.
+  waitForFirstParse();
   b.send(kFig3);
   EXPECT_EQ(a.receive().status, Status::kOk);
   EXPECT_EQ(b.receive().status, Status::kOk);
@@ -1010,6 +1140,10 @@ TEST(NetServer, PreV3FrameGetsProtocolErrorAndClose) {
         << resp.payload;
     EXPECT_EQ(dec.next(resp), FrameDecoder::Result::kNeedMore);
     EXPECT_EQ(dec.buffered(), 0u);
+    // The error frame is a reply like any other: counted once per
+    // connection.
+    EXPECT_EQ(fixture.server().stats().responses_sent,
+              std::uint64_t{version});
   }
   const net::Server::Stats stats = fixture.server().stats();
   EXPECT_EQ(stats.protocol_errors, 2u);
@@ -1063,7 +1197,8 @@ TEST(NetServer, TenantQuotaRejectsOverBudget) {
   net::ServerConfig config;
   config.service.backpressure = service::BackpressurePolicy::kReject;
   // 1 token of burst, refilled at a rate far slower than the test runs.
-  config.tenants.push_back({1, {.rate_per_s = 0.001, .burst = 1}});
+  config.tenants.push_back(
+      {1, {.name = "", .rate_per_s = 0.001, .burst = 1}});
   ServerFixture fixture(config);
 
   net::ClientOptions options;
@@ -1102,7 +1237,7 @@ TEST(NetServer, TenantInFlightCapRejects) {
   config.service.num_threads = 1;
   config.service.cache_capacity = 0;
   config.service.backpressure = service::BackpressurePolicy::kReject;
-  config.tenants.push_back({1, {.max_in_flight = 1}});
+  config.tenants.push_back({1, {.name = "", .max_in_flight = 1}});
   ServerFixture fixture(config);
 
   net::ClientOptions options;
@@ -1133,7 +1268,7 @@ TEST(NetServer, TenantQuotaBlockParksThenServes) {
   config.service.backpressure = service::BackpressurePolicy::kBlock;
   // 1 burst token, 50/s refill: the second pipelined request must park
   // ~20ms and then complete — nothing is lost under kBlock.
-  config.tenants.push_back({1, {.rate_per_s = 50, .burst = 1}});
+  config.tenants.push_back({1, {.name = "", .rate_per_s = 50, .burst = 1}});
   ServerFixture fixture(config);
 
   net::ClientOptions options;
@@ -1485,7 +1620,7 @@ TEST(NetServer, WireDeadlineExpiresWhileGateParked) {
   b.connect("127.0.0.1", fixture.port());
 
   a.send(kFig3);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  waitForFirstParse();  // a holds the only gate slot
   b.send(kFig3);
 
   const net::Response rb = b.receive();
@@ -1546,7 +1681,7 @@ TEST(NetServer, ReadyzGoes503WhenGateSaturated) {
   net::Client client;
   client.connect("127.0.0.1", fixture.port());
   client.send(kFig3);  // occupies the only gate slot
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  waitForFirstParse();
 
   int status = 0;
   const std::string body = net::Client::fetchHttp(

@@ -41,7 +41,7 @@ TEST(Registry, RegisterOrGetReturnsStableHandles) {
   EXPECT_EQ(b.get(), 3u);
   // Registering more instruments must not move earlier handles.
   for (int i = 0; i < 100; ++i) {
-    (void)reg.counter("c" + std::to_string(i));
+    (void)reg.counter(std::string("c").append(std::to_string(i)));
   }
   EXPECT_EQ(&reg.counter("requests"), &a);
   EXPECT_EQ(a.get(), 3u);

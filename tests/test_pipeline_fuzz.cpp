@@ -50,7 +50,7 @@ TEST(PipelineFuzz, DegenerateShapes) {
     Digraph g;
     NodeId prev = g.addNode("n0");
     for (int i = 1; i < 500; ++i) {
-      const NodeId next = g.addNode("n" + std::to_string(i));
+      const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
       g.addEdge(prev, next);
       prev = next;
     }
@@ -62,8 +62,10 @@ TEST(PipelineFuzz, DegenerateShapes) {
     const NodeId hub = out_star.addNode("hub");
     const NodeId sink = in_star.addNode("sink");
     for (int i = 0; i < 300; ++i) {
-      out_star.addEdge(hub, out_star.addNode("t" + std::to_string(i)));
-      const NodeId s = in_star.addNode("s" + std::to_string(i));
+      out_star.addEdge(hub, out_star.addNode(
+          std::string("t").append(std::to_string(i))));
+      const NodeId s = in_star.addNode(
+          std::string("s").append(std::to_string(i)));
       in_star.addEdge(s, sink);
     }
     expectValid(out_star);
@@ -73,8 +75,8 @@ TEST(PipelineFuzz, DegenerateShapes) {
     // Many disconnected small components of different shapes.
     Digraph g;
     for (int k = 0; k < 20; ++k) {
-      const NodeId a = g.addNode("a" + std::to_string(k));
-      const NodeId b = g.addNode("b" + std::to_string(k));
+      const NodeId a = g.addNode(std::string("a").append(std::to_string(k)));
+      const NodeId b = g.addNode(std::string("b").append(std::to_string(k)));
       g.addEdge(a, b);
       if (k % 2 == 0) g.addEdge(a, g.addNode("c" + std::to_string(k)));
     }

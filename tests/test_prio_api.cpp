@@ -117,7 +117,7 @@ TEST(Prioritize, CertifiesKnownComposableConstructions) {
     Digraph g;
     NodeId prev = g.addNode("n0");
     for (int i = 1; i < 8; ++i) {
-      const NodeId next = g.addNode("n" + std::to_string(i));
+      const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
       g.addEdge(prev, next);
       prev = next;
     }

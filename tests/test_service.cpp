@@ -58,7 +58,7 @@ Digraph permuted(const Digraph& g, const std::vector<NodeId>& perm) {
   Digraph out;
   out.reserveNodes(g.numNodes());
   for (NodeId u = 0; u < g.numNodes(); ++u) {
-    out.addNode("p" + std::to_string(u));
+    out.addNode(std::string("p").append(std::to_string(u)));
   }
   for (NodeId u = 0; u < g.numNodes(); ++u) {
     for (NodeId v : g.children(u)) out.addEdge(perm[u], perm[v]);

@@ -20,7 +20,7 @@ Digraph chainDag(std::size_t n) {
   Digraph g;
   NodeId prev = g.addNode("n0");
   for (std::size_t i = 1; i < n; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
     g.addEdge(prev, next);
     prev = next;
   }
@@ -29,7 +29,9 @@ Digraph chainDag(std::size_t n) {
 
 Digraph antichainDag(std::size_t n) {
   Digraph g;
-  for (std::size_t i = 0; i < n; ++i) g.addNode("n" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   return g;
 }
 

@@ -21,7 +21,7 @@ Digraph chainDag(std::size_t n) {
   Digraph g;
   NodeId prev = g.addNode("n0");
   for (std::size_t i = 1; i < n; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode(std::string("n").append(std::to_string(i)));
     g.addEdge(prev, next);
     prev = next;
   }
@@ -94,7 +94,9 @@ TEST(Extensions, FailuresAreRetriedUntilDone) {
 
 TEST(Extensions, FailureRateMatchesProbability) {
   prio::dag::Digraph g;
-  for (int i = 0; i < 200; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   ExtendedGridModel model;
   model.base.mean_batch_size = 16.0;
   model.failure_probability = 0.25;
@@ -128,7 +130,9 @@ TEST(Extensions, FailuresIncreaseMakespan) {
 
 TEST(Extensions, HeterogeneousRuntimesPreserveMeanRoughly) {
   prio::dag::Digraph g;
-  for (int i = 0; i < 400; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 400; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   ExtendedGridModel model;
   model.base.mean_batch_size = 1e9;  // one wave
   model.base.mean_batch_interarrival = 1e6;
@@ -185,7 +189,9 @@ TEST(Extensions, EvictionWastesLessThanFullFailure) {
   // An evicted attempt loses only its elapsed fraction, so per incident
   // it wastes strictly less than a failure of the same duration would.
   prio::dag::Digraph g;
-  for (int i = 0; i < 300; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 300; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   ExtendedGridModel evict, fail;
   evict.eviction_probability = 0.25;
   fail.failure_probability = 0.25;

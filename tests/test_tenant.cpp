@@ -51,7 +51,7 @@ TEST(TenantRegistry, UnmeteredTenantAlwaysAdmits) {
 
 TEST(TenantRegistry, TokenBucketIsDeterministic) {
   TenantRegistry registry;
-  registry.configure(1, {.rate_per_s = 2.0, .burst = 2.0});
+  registry.configure(1, {.name = "", .rate_per_s = 2.0, .burst = 2.0});
 
   // A fresh bucket holds `burst` tokens; the first tryAdmit anchors the
   // clock, so the absolute epoch is irrelevant.
@@ -75,20 +75,22 @@ TEST(TenantRegistry, TokenBucketIsDeterministic) {
 
 TEST(TenantRegistry, BurstDefaultsToRateFloorOne) {
   TenantRegistry registry;
-  registry.configure(1, {.rate_per_s = 3.0});  // burst derives max(1, 3) = 3
+  // burst derives max(1, 3) = 3
+  registry.configure(1, {.name = "", .rate_per_s = 3.0});
   EXPECT_EQ(registry.tryAdmit(1, 0.0), Admission::kAdmit);
   EXPECT_EQ(registry.tryAdmit(1, 0.0), Admission::kAdmit);
   EXPECT_EQ(registry.tryAdmit(1, 0.0), Admission::kAdmit);
   EXPECT_EQ(registry.tryAdmit(1, 0.0), Admission::kQuota);
 
-  registry.configure(2, {.rate_per_s = 0.25});  // burst derives max(1, ..) = 1
+  // burst derives max(1, 0.25) = 1
+  registry.configure(2, {.name = "", .rate_per_s = 0.25});
   EXPECT_EQ(registry.tryAdmit(2, 0.0), Admission::kAdmit);
   EXPECT_EQ(registry.tryAdmit(2, 0.0), Admission::kQuota);
 }
 
 TEST(TenantRegistry, InFlightCapChecksBeforeTokens) {
   TenantRegistry registry;
-  registry.configure(1, {.rate_per_s = 100.0, .burst = 100.0,
+  registry.configure(1, {.name = "", .rate_per_s = 100.0, .burst = 100.0,
                          .max_in_flight = 2});
   EXPECT_EQ(registry.tryAdmit(1, 0.0), Admission::kAdmit);
   EXPECT_EQ(registry.tryAdmit(1, 0.0), Admission::kAdmit);
@@ -140,7 +142,7 @@ TEST(TenantRegistry, OutcomesAreBucketed) {
 
 TEST(TenantRegistry, ConfigurePreservesCountersAndRefillsBucket) {
   TenantRegistry registry;
-  registry.configure(1, {.rate_per_s = 1.0, .burst = 1.0});
+  registry.configure(1, {.name = "", .rate_per_s = 1.0, .burst = 1.0});
   ASSERT_EQ(registry.tryAdmit(1, 0.0), Admission::kAdmit);
   registry.recordReply(1, Outcome::kOk, false, 0.001);
   ASSERT_EQ(registry.tryAdmit(1, 0.0), Admission::kQuota);
@@ -163,7 +165,7 @@ TEST(TenantRegistry, WeightSelfRegistersAndFloorsAtOne) {
   TenantRegistry registry(defaults);
   EXPECT_EQ(registry.weight(9), 2u);  // unknown → defaults
   EXPECT_EQ(registry.numTenants(), 2u);
-  registry.configure(9, {.weight = 0});  // 0 acts as 1
+  registry.configure(9, {.name = "", .weight = 0});  // 0 acts as 1
   EXPECT_EQ(registry.weight(9), 1u);
 }
 
@@ -229,8 +231,8 @@ TEST(FairQueue, SingleTenantIsExactFifo) {
 
 TEST(FairQueue, WeightedInterleaveMatchesDrr) {
   TenantRegistry registry;
-  registry.configure(1, {.weight = 2});
-  registry.configure(2, {.weight = 1});
+  registry.configure(1, {.name = "", .weight = 2});
+  registry.configure(2, {.name = "", .weight = 1});
   FairQueue q(256, &registry);
 
   std::vector<int> order;
@@ -246,7 +248,7 @@ TEST(FairQueue, WeightedInterleaveMatchesDrr) {
 
 TEST(FairQueue, EmptyLaneForfeitsItsBudgetAndLeavesTheRing) {
   TenantRegistry registry;
-  registry.configure(1, {.weight = 100});
+  registry.configure(1, {.name = "", .weight = 100});
   FairQueue q(256, &registry);
   std::vector<int> order;
   ASSERT_TRUE(q.tryPush(1, [&order] { order.push_back(1); }));
@@ -267,8 +269,8 @@ TEST(FairQueue, StarvationBoundHolds) {
   // With a hog of weight W backlogged, a newly-arrived task of another
   // tenant waits at most W pops — the DRR starvation bound.
   TenantRegistry registry;
-  registry.configure(1, {.weight = 5});
-  registry.configure(2, {.weight = 1});
+  registry.configure(1, {.name = "", .weight = 5});
+  registry.configure(2, {.name = "", .weight = 1});
   FairQueue q(1024, &registry);
 
   std::atomic<bool> small_done{false};
@@ -329,7 +331,7 @@ TEST(FairQueue, CloseDrainsThenReturnsNullopt) {
 
 TEST(TenantService, RepliesCarryTheTenantAndTheRegistryAccounts) {
   TenantRegistry registry;
-  registry.configure(1, {.weight = 2});
+  registry.configure(1, {.name = "", .weight = 2});
   service::ServiceConfig config;
   config.num_threads = 2;
   config.tenants = &registry;
@@ -382,7 +384,7 @@ TEST(TenantService, SingleTenantOutputMatchesUntenantedServiceByteForByte) {
 
 TEST(TenantService, ManyTenantsUnderLoadAllComplete) {
   TenantRegistry registry;
-  registry.configure(1, {.weight = 8});
+  registry.configure(1, {.name = "", .weight = 8});
   service::ServiceConfig config;
   config.num_threads = 2;
   config.queue_capacity = 512;

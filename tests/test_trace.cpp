@@ -88,7 +88,7 @@ TEST(DagStats, ChainAndAirsn) {
     dag::Digraph g;
     auto prev = g.addNode("n0");
     for (int i = 1; i < 5; ++i) {
-      const auto next = g.addNode("n" + std::to_string(i));
+      const auto next = g.addNode(std::string("n").append(std::to_string(i)));
       g.addEdge(prev, next);
       prev = next;
     }

@@ -58,7 +58,9 @@ TEST(TransitiveReduction, DiamondWithChord) {
 TEST(TransitiveReduction, LongChainShortcuts) {
   // Chain 0->1->...->5 plus every skip arc: all skips must vanish.
   Digraph g;
-  for (int i = 0; i < 6; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 6; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   for (NodeId i = 0; i < 6; ++i) {
     for (NodeId j = i + 1; j < 6; ++j) g.addEdge(i, j);
   }

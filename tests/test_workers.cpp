@@ -16,7 +16,7 @@ dag::Digraph chainDag(std::size_t n) {
   dag::Digraph g;
   auto prev = g.addNode("n0");
   for (std::size_t i = 1; i < n; ++i) {
-    const auto next = g.addNode("n" + std::to_string(i));
+    const auto next = g.addNode(std::string("n").append(std::to_string(i)));
     g.addEdge(prev, next);
     prev = next;
   }
@@ -25,7 +25,9 @@ dag::Digraph chainDag(std::size_t n) {
 
 TEST(WorkerPool, SingleWorkerMakespanIsSumOfRuntimes) {
   dag::Digraph g;
-  for (int i = 0; i < 50; ++i) g.addNode("n" + std::to_string(i));
+  for (int i = 0; i < 50; ++i) {
+    g.addNode(std::string("n").append(std::to_string(i)));
+  }
   GridModel m;
   stats::Rng rng(1);
   const auto r = simulateWorkerPool(g, Regimen::kFifo, {}, 1, m, rng);
