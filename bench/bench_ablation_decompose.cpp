@@ -5,12 +5,14 @@
 //
 // We compare decompose() with and without the bipartite fast path on
 // scaled SDSS- and Montage-shaped dags (the slow path is exercised at
-// sizes where it still terminates quickly enough to benchmark), plus the
-// transitive-reduction backends.
+// sizes where it still terminates quickly enough to benchmark), plus
+// shortcut removal on paper-shaped and dense random dags.
 #include <benchmark/benchmark.h>
 
 #include "core/decompose.h"
 #include "dag/algorithms.h"
+#include "stats/rng.h"
+#include "workloads/random.h"
 #include "workloads/scientific.h"
 
 namespace {
@@ -68,24 +70,51 @@ void BM_DecomposeMontage_GeneralOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_DecomposeMontage_GeneralOnly)->Arg(4)->Arg(8);
 
-// Transitive-reduction backend comparison (step 1's cost).
-void BM_ReduceBitset(benchmark::State& state) {
+// Shortcut removal (step 1's cost) on the families that bound it: the
+// paper-shaped SDSS, where few nodes are joins, and the worst cases for
+// join-column reachability, dense Erdős–Rényi and dense layered dags,
+// where nearly every node is a join.
+void BM_ReduceSdss(benchmark::State& state) {
   const auto g = sdssScaled(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        transitiveReduction(g, prio::dag::ReductionMethod::kBitset));
+    benchmark::DoNotOptimize(transitiveReduction(g));
   }
+  state.SetLabel(std::to_string(g.numNodes()) + " jobs");
 }
-BENCHMARK(BM_ReduceBitset)->Arg(50)->Arg(200);
+BENCHMARK(BM_ReduceSdss)->Arg(50)->Arg(200)->Arg(1700);
 
-void BM_ReduceEdgeDfs(benchmark::State& state) {
-  const auto g = sdssScaled(static_cast<std::size_t>(state.range(0)));
+// randomDag(n, p): args are n and p in thousandths.
+void BM_ReduceRandomDag(benchmark::State& state) {
+  prio::stats::Rng rng(7);
+  const auto g = prio::workloads::randomDag(
+      static_cast<std::size_t>(state.range(0)),
+      static_cast<double>(state.range(1)) / 1000.0, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        transitiveReduction(g, prio::dag::ReductionMethod::kEdgeDfs));
+    benchmark::DoNotOptimize(transitiveReduction(g));
   }
+  state.SetLabel(std::to_string(g.numEdges()) + " arcs");
 }
-BENCHMARK(BM_ReduceEdgeDfs)->Arg(50)->Arg(200);
+BENCHMARK(BM_ReduceRandomDag)
+    ->Args({1000, 10})
+    ->Args({5000, 2})
+    ->Args({2000, 200});
+
+// layeredRandom(layers, width, p): args are layers, width and p in
+// thousandths.
+void BM_ReduceLayeredDense(benchmark::State& state) {
+  prio::stats::Rng rng(11);
+  const auto g = prio::workloads::layeredRandom(
+      static_cast<std::size_t>(state.range(0)),
+      static_cast<std::size_t>(state.range(1)),
+      static_cast<double>(state.range(2)) / 1000.0, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(transitiveReduction(g));
+  }
+  state.SetLabel(std::to_string(g.numEdges()) + " arcs");
+}
+BENCHMARK(BM_ReduceLayeredDense)
+    ->Args({20, 100, 300})
+    ->Args({50, 200, 100});
 
 }  // namespace
 

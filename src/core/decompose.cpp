@@ -172,9 +172,12 @@ BipartiteAttempt tryBipartiteComponent(const Csr& csr, const Remnant& remnant,
 // The general C(s) of §3.1 step 2: the smallest subgraph containing s that
 // contains every child of each member source and every parent of each
 // member. Computed as a fixpoint with two worklists (recycled through
-// scratch); the result is left in scratch.members, sorted.
-void generalClosure(const Csr& csr, const Remnant& remnant, NodeId s,
-                    Scratch& scratch) {
+// scratch); the result is left in scratch.members, sorted, and true is
+// returned. The search gives up and returns false as soon as the closure
+// reaches `bound` members: the caller keeps only a strictly smaller
+// closure than its best so far, so one that large can never be chosen.
+bool generalClosure(const Csr& csr, const Remnant& remnant, NodeId s,
+                    std::size_t bound, Scratch& scratch) {
   scratch.nextEpoch();
   const std::uint32_t epoch = scratch.epoch;
   scratch.members.clear();
@@ -192,6 +195,7 @@ void generalClosure(const Csr& csr, const Remnant& remnant, NodeId s,
     if (remnant.liveIn(u) == 0) scratch.source_work.push_back(u);
   };
   while (!scratch.source_work.empty() || !scratch.parent_work.empty()) {
+    if (scratch.members.size() >= bound) return false;
     if (!scratch.source_work.empty()) {
       const NodeId src = scratch.source_work.back();
       scratch.source_work.pop_back();
@@ -204,7 +208,9 @@ void generalClosure(const Csr& csr, const Remnant& remnant, NodeId s,
       if (remnant.alive(p)) addMember(p);
     }
   }
+  if (scratch.members.size() >= bound) return false;
   std::sort(scratch.members.begin(), scratch.members.end());
+  return true;
 }
 
 }  // namespace
@@ -287,8 +293,9 @@ Decomposition decompose(const dag::Digraph& g,
         if (options.cancel != nullptr) {
           options.cancel->throwIfCancelled("decompose");
         }
-        generalClosure(csr, remnant, s, scratch);
-        if (members.empty() || scratch.members.size() < members.size()) {
+        const std::size_t bound =
+            members.empty() ? remnant.aliveCount() + 1 : members.size();
+        if (generalClosure(csr, remnant, s, bound, scratch)) {
           members = scratch.members;
         }
       }

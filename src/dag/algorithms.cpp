@@ -1,8 +1,10 @@
 #include "dag/algorithms.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "dag/csr.h"
+#include "util/bitmatrix.h"
 
 namespace prio::dag {
 
@@ -82,28 +84,61 @@ bool isTopologicalOrder(const Digraph& g, std::span<const NodeId> order) {
   return true;
 }
 
-util::BitMatrix descendantMatrix(const Digraph& g) {
+Digraph transitiveReduction(const Digraph& g) {
   auto order = topologicalOrder(g);
-  PRIO_CHECK_MSG(order.has_value(), "descendantMatrix requires a dag");
-  return descendantMatrix(g, *order);
+  PRIO_CHECK_MSG(order.has_value(), "transitiveReduction requires a dag");
+  return transitiveReduction(g, *order);
 }
 
-util::BitMatrix descendantMatrix(const Digraph& g,
-                                 std::span<const NodeId> topo_order) {
+Digraph transitiveReduction(const Digraph& g,
+                            const obs::TraceContext& trace) {
+  std::optional<std::vector<NodeId>> order;
+  {
+    obs::Span span(trace, "reduce.topo_order");
+    order = topologicalOrder(g);
+  }
+  PRIO_CHECK_MSG(order.has_value(), "transitiveReduction requires a dag");
+  obs::Span span(trace, "reduce.filter");
+  return transitiveReduction(g, *order);
+}
+
+Digraph transitiveReduction(const Digraph& g,
+                            std::span<const NodeId> topo_order) {
   const std::size_t n = g.numNodes();
   PRIO_CHECK_MSG(topo_order.size() == n,
-                 "descendantMatrix: topo_order must cover every node");
-  util::BitMatrix reach(n, n);
-  if (n == 0) return reach;
+                 "transitiveReduction: topo_order must cover every node");
   const Csr& csr = g.csr();
 
-  // Process in reverse topological order so children's rows are complete.
+  // Arc u -> v is a shortcut iff v is reachable from another child of u,
+  // which needs a second path into v: only joins can head a shortcut.
+  // Column j of `reach` stands for the j-th join in id order.
+  constexpr NodeId kNotJoin = ~NodeId{0};
+  std::vector<NodeId> column(n, kNotJoin);
+  NodeId joins = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (csr.inDegree(v) >= 2) column[v] = joins++;
+  }
+  std::vector<NodeId> position(n);
+  for (NodeId i = 0; i < n; ++i) position[topo_order[i]] = i;
+
+  // Row u holds the joins reachable from u by a path of length >= 1,
+  // filled in reverse topological order so children's rows are complete.
+  // u's arcs are visited in the topological order of their heads, so a
+  // child that reaches v comes before v: v is a shortcut head iff its
+  // column is already set when its arc is visited. A shortcut child adds
+  // nothing to the row, so its OR is skipped.
+  //
   // Rows longer than one tile are filled one column tile at a time: the
   // OR of a child row segment into a parent row segment then works on
   // 4 KiB pieces that stay cache-resident between the child's completion
-  // and the parents' visits, instead of streaming multi-KB rows through
-  // the cache once per edge. Every bit is owned by exactly one tile, so
-  // the result is identical to the untiled pass.
+  // and the parents' visits. An arc is judged in the tile holding its
+  // head's column; until then it is OR-ed, which is harmless.
+  util::BitMatrix reach(n, joins);
+  std::vector<char> shortcut(csr.numEdges(), 0);  // by CSR arc index
+  std::vector<std::uint32_t> arcs;
+  const auto by_head_position = [&](std::uint32_t a, std::uint32_t b) {
+    return position[csr.child_edges[a]] < position[csr.child_edges[b]];
+  };
   constexpr std::size_t kTileWords = 512;  // 4 KiB row segments
   const std::size_t words = reach.wordsPerRow();
   for (std::size_t tile_begin = 0; tile_begin < words;
@@ -113,114 +148,45 @@ util::BitMatrix descendantMatrix(const Digraph& g,
     const std::size_t col_end = tile_end * 64;
     for (auto it = topo_order.rbegin(); it != topo_order.rend(); ++it) {
       const NodeId u = *it;
-      for (NodeId v : csr.children(u)) {
-        if (v >= col_begin && v < col_end) reach.set(u, v);
+      arcs.resize(csr.outDegree(u));
+      std::iota(arcs.begin(), arcs.end(), csr.child_offsets[u]);
+      if (!std::is_sorted(arcs.begin(), arcs.end(), by_head_position)) {
+        std::sort(arcs.begin(), arcs.end(), by_head_position);
+      }
+      for (const std::uint32_t arc : arcs) {
+        if (shortcut[arc] != 0) continue;
+        const NodeId v = csr.child_edges[arc];
+        if (column[v] >= col_begin && column[v] < col_end) {
+          if (reach.test(u, column[v])) {
+            shortcut[arc] = 1;
+            continue;
+          }
+          reach.set(u, column[v]);
+        }
         reach.orRowRangeInto(u, v, tile_begin, tile_end);
       }
     }
   }
-  return reach;
-}
 
-namespace {
-
-// True iff v is reachable from any node of `starts` (paths of length >= 0).
-bool reachableFromAny(const Digraph& g, std::span<const NodeId> starts,
-                      NodeId target, std::vector<char>& visited,
-                      std::vector<NodeId>& stack) {
-  stack.assign(starts.begin(), starts.end());
-  std::fill(visited.begin(), visited.end(), 0);
-  for (NodeId s : starts) visited[s] = 1;
-  while (!stack.empty()) {
-    const NodeId u = stack.back();
-    stack.pop_back();
-    if (u == target) return true;
-    for (NodeId w : g.children(u)) {
-      if (!visited[w]) {
-        visited[w] = 1;
-        stack.push_back(w);
-      }
+  // Bulk-build the result with the adjacency order addEdge() would give:
+  // children in the input's order, parents in ascending id.
+  std::vector<std::string> names(n);
+  std::vector<std::vector<NodeId>> children(n);
+  std::vector<std::vector<NodeId>> parents(n);
+  std::size_t kept = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    names[u] = g.name(u);
+    for (std::uint32_t arc = csr.child_offsets[u];
+         arc < csr.child_offsets[u + 1]; ++arc) {
+      if (shortcut[arc] != 0) continue;
+      const NodeId v = csr.child_edges[arc];
+      children[u].push_back(v);
+      parents[v].push_back(u);
+      ++kept;
     }
   }
-  return false;
-}
-
-Digraph reduceWithBitset(const Digraph& g,
-                         std::span<const NodeId> topo_order) {
-  const util::BitMatrix reach = descendantMatrix(g, topo_order);
-  const Csr& csr = g.csr();
-  Digraph out;
-  out.reserveNodes(g.numNodes());
-  for (NodeId u = 0; u < g.numNodes(); ++u) out.addNode(g.name(u));
-  for (NodeId u = 0; u < g.numNodes(); ++u) {
-    const auto children = csr.children(u);
-    for (NodeId v : children) {
-      bool shortcut = false;
-      for (NodeId w : children) {
-        if (w != v && reach.test(w, v)) {
-          shortcut = true;
-          break;
-        }
-      }
-      if (!shortcut) out.addEdge(u, v);
-    }
-  }
-  return out;
-}
-
-Digraph reduceWithDfs(const Digraph& g) {
-  Digraph out;
-  out.reserveNodes(g.numNodes());
-  for (NodeId u = 0; u < g.numNodes(); ++u) out.addNode(g.name(u));
-  std::vector<char> visited(g.numNodes(), 0);
-  std::vector<NodeId> stack;
-  std::vector<NodeId> other_children;
-  for (NodeId u = 0; u < g.numNodes(); ++u) {
-    for (NodeId v : g.children(u)) {
-      other_children.clear();
-      for (NodeId w : g.children(u)) {
-        if (w != v) other_children.push_back(w);
-      }
-      if (!reachableFromAny(g, other_children, v, visited, stack)) {
-        out.addEdge(u, v);
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Digraph transitiveReduction(const Digraph& g, ReductionMethod method) {
-  auto order = topologicalOrder(g);
-  PRIO_CHECK_MSG(order.has_value(), "transitiveReduction requires a dag");
-  return transitiveReduction(g, method, *order);
-}
-
-Digraph transitiveReduction(const Digraph& g, ReductionMethod method,
-                            const obs::TraceContext& trace) {
-  std::optional<std::vector<NodeId>> order;
-  {
-    obs::Span span(trace, "reduce.topo_order");
-    order = topologicalOrder(g);
-  }
-  PRIO_CHECK_MSG(order.has_value(), "transitiveReduction requires a dag");
-  obs::Span span(trace, "reduce.filter");
-  return transitiveReduction(g, method, *order);
-}
-
-Digraph transitiveReduction(const Digraph& g, ReductionMethod method,
-                            std::span<const NodeId> topo_order) {
-  PRIO_CHECK_MSG(topo_order.size() == g.numNodes(),
-                 "transitiveReduction: topo_order must cover every node");
-  switch (method) {
-    case ReductionMethod::kBitset:
-      return reduceWithBitset(g, topo_order);
-    case ReductionMethod::kEdgeDfs:
-      return reduceWithDfs(g);
-  }
-  PRIO_CHECK(false);
-  return Digraph{};
+  return Digraph::fromAdjacency(std::move(names), std::move(children),
+                                std::move(parents), kept);
 }
 
 ComponentLabels weaklyConnectedComponents(const Digraph& g) {

@@ -156,6 +156,10 @@ struct Server::Impl {
     std::optional<Pending> parked;
     bool paused = false;   ///< read interest withdrawn (gate / drain)
     bool closing = false;  ///< close once `out` flushes
+    /// The (read, write) interest registered with the poller, so a flush
+    /// that leaves it unchanged costs no epoll_ctl.
+    bool interest_read = true;
+    bool interest_write = false;
     Clock::time_point last_activity;
     /// Position on the owning shard's LRU list (always valid while the
     /// connection lives): front = least recently active, so the idle
@@ -420,7 +424,14 @@ struct Server::Impl {
 
     void updateInterest(Connection* conn) {
       const bool read = !conn->paused && !conn->closing && !draining_;
-      poller_.update(conn->fd.get(), read, conn->wantWrite());
+      const bool write = conn->wantWrite();
+      if (read == conn->interest_read && write == conn->interest_write) {
+        return;
+      }
+      conn->interest_read = read;
+      conn->interest_write = write;
+      poller_.update(conn->fd.get(), read, write);
+      impl->interest_updates.add();
     }
 
     /// Flushes buffered output. False when the connection was closed.
@@ -901,6 +912,7 @@ struct Server::Impl {
         http_requests(net_registry_.counter("http_requests")),
         wakeups_signaled(net_registry_.counter("wakeups_signaled")),
         wakeups_drained(net_registry_.counter("wakeups_drained")),
+        interest_updates(net_registry_.counter("interest_updates")),
         connections_open(net_registry_.gauge("connections_open")),
         requests_in_flight(net_registry_.gauge("requests_in_flight")),
         loop_stall_max_us(net_registry_.gauge("loop_stall_max_us")),
@@ -1048,6 +1060,7 @@ struct Server::Impl {
   obs::Counter& http_requests;
   obs::Counter& wakeups_signaled;  ///< signal() calls across all shards
   obs::Counter& wakeups_drained;   ///< drains that consumed >= 1 signal
+  obs::Counter& interest_updates;  ///< epoll_ctl(MOD) calls on connections
   obs::Gauge& connections_open;
   obs::Gauge& requests_in_flight;
   /// Event-loop watchdog: the worst observed gap (µs) any shard's loop
@@ -1144,6 +1157,7 @@ Server::Stats Server::stats() const {
   s.http_requests = impl_->http_requests.get();
   s.wakeups_signaled = impl_->wakeups_signaled.get();
   s.wakeups_drained = impl_->wakeups_drained.get();
+  s.interest_updates = impl_->interest_updates.get();
   s.loop_stall_max_us = impl_->loop_stall_max_us.get();
   s.shard_connections.reserve(impl_->shards_.size());
   for (const auto& shard : impl_->shards_) {

@@ -180,6 +180,10 @@ class Server {
     /// net bench reports (eventfd makes it structural).
     std::uint64_t wakeups_signaled = 0;
     std::uint64_t wakeups_drained = 0;
+    /// epoll_ctl(MOD) calls made for connections. A flush that leaves a
+    /// connection's read/write interest unchanged makes none, so this
+    /// grows with back-pressure and pauses, not with replies.
+    std::uint64_t interest_updates = 0;
     /// Event-loop watchdog: worst observed time (µs) any shard's loop
     /// spent away from poll in one iteration.
     std::uint64_t loop_stall_max_us = 0;

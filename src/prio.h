@@ -12,12 +12,14 @@
 // incompatibly; the library keeps no deprecated shims across a bump.
 #pragma once
 
-/// Public API version. 3 = one request form per entry point
+/// Public API version. 4 = one shortcut-removal path (no
+/// dag::ReductionMethod, PrioOptions::reduction_method or public
+/// descendantMatrix); 3 = one request form per entry point
 /// (core::prioritize(PrioRequest), core::scheduleComponents(
 /// ScheduleRequest), service::Request/Payload) with no deprecated shims;
 /// 2 added the PrioRequest/PrioOptions aggregate API and the obs layer;
 /// 1 was the original loose-overload surface.
-#define PRIO_API_VERSION 3
+#define PRIO_API_VERSION 4
 
 // Substrates.
 #include "dag/algorithms.h"   // IWYU pragma: export

@@ -1,9 +1,9 @@
 // Dense bit matrix used for word-parallel reachability computations.
 //
 // Transitive reduction (§3.1 step 1 of the paper) on a 48k-node dag such as
-// SDSS needs per-node reachability sets; a packed bit matrix makes the
-// dominant operation — OR-ing one node's reachability row into another's —
-// run 64 nodes per machine word.
+// SDSS needs per-node reachability sets (over the dag's joins); a packed
+// bit matrix makes the dominant operation — OR-ing one node's reachability
+// row into another's — run 64 columns per machine word.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +59,7 @@ class BitMatrix {
   }
 
   /// dst |= src restricted to the word range [word_begin, word_end) of
-  /// each row — the cache-blocked tile primitive: descendantMatrix
+  /// each row — the cache-blocked tile primitive: transitiveReduction
   /// processes long rows one column tile at a time so the row segments
   /// being OR-ed together stay resident in cache across the pass.
   void orRowRangeInto(std::size_t dst, std::size_t src,

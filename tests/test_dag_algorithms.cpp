@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "dag/algorithms.h"
@@ -60,16 +61,16 @@ TEST(IsTopologicalOrder, RejectsBadOrders) {
   EXPECT_TRUE(isTopologicalOrder(g, std::vector<NodeId>{0, 2, 1, 3}));
 }
 
-TEST(DescendantMatrix, DiamondReachability) {
+TEST(Descendants, DiamondReachability) {
   const Digraph g = diamond();
-  const auto reach = descendantMatrix(g);
-  EXPECT_TRUE(reach.test(0, 1));
-  EXPECT_TRUE(reach.test(0, 2));
-  EXPECT_TRUE(reach.test(0, 3));
-  EXPECT_TRUE(reach.test(1, 3));
-  EXPECT_FALSE(reach.test(1, 2));
-  EXPECT_FALSE(reach.test(3, 0));
-  EXPECT_FALSE(reach.test(0, 0));  // proper descendants only
+  const auto sorted = [&](NodeId u) {
+    auto d = descendants(g, u);
+    std::sort(d.begin(), d.end());
+    return d;
+  };
+  EXPECT_EQ(sorted(0), (std::vector<NodeId>{1, 2, 3}));  // not 0 itself
+  EXPECT_EQ(sorted(1), (std::vector<NodeId>{3}));         // not its sibling
+  EXPECT_TRUE(sorted(3).empty());
 }
 
 TEST(DescendantsAndAncestors, Diamond) {
@@ -151,8 +152,8 @@ TEST(IsBipartiteDag, Classification) {
   EXPECT_TRUE(isBipartiteDag(empty));
 }
 
-// Property sweep: random dags always admit valid topological orders and
-// the descendant matrix agrees with BFS descendants.
+// Property sweep: random dags always admit valid topological orders, and
+// BFS descendants are closed under children and follow the order.
 class RandomDagAlgorithms : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomDagAlgorithms, TopoAndReachConsistent) {
@@ -161,11 +162,20 @@ TEST_P(RandomDagAlgorithms, TopoAndReachConsistent) {
   const auto order = topologicalOrder(g);
   ASSERT_TRUE(order.has_value());
   EXPECT_TRUE(isTopologicalOrder(g, *order));
-  const auto reach = descendantMatrix(g);
+  std::vector<std::size_t> position(g.numNodes());
+  for (std::size_t i = 0; i < order->size(); ++i) position[(*order)[i]] = i;
   for (NodeId u = 0; u < g.numNodes(); ++u) {
     const auto bfs = descendants(g, u);
-    EXPECT_EQ(bfs.size(), reach.rowPopcount(u));
-    for (NodeId v : bfs) EXPECT_TRUE(reach.test(u, v));
+    const std::set<NodeId> reach(bfs.begin(), bfs.end());
+    EXPECT_EQ(reach.size(), bfs.size());  // each listed once
+    // desc(u) = union over children c of {c} and desc(c).
+    std::set<NodeId> expected;
+    for (NodeId c : g.children(u)) {
+      expected.insert(c);
+      for (NodeId w : descendants(g, c)) expected.insert(w);
+    }
+    EXPECT_EQ(reach, expected);
+    for (NodeId v : bfs) EXPECT_LT(position[u], position[v]);
   }
 }
 
@@ -257,21 +267,6 @@ TEST(TopologicalOrder, DetectsCycleWithDescendingArcs) {
   EXPECT_FALSE(isAcyclic(g));
 }
 
-TEST(DescendantMatrix, PrecomputedOrderMatches) {
-  Rng rng(7);
-  const auto g = prio::workloads::randomDag(50, 0.1, rng);
-  const auto order = topologicalOrder(g);
-  ASSERT_TRUE(order.has_value());
-  const auto a = descendantMatrix(g);
-  const auto b = descendantMatrix(g, *order);
-  for (NodeId u = 0; u < g.numNodes(); ++u) {
-    EXPECT_EQ(a.rowPopcount(u), b.rowPopcount(u));
-    for (NodeId v = 0; v < g.numNodes(); ++v) {
-      EXPECT_EQ(a.test(u, v), b.test(u, v));
-    }
-  }
-}
-
 TEST(TransitiveReduction, PrecomputedOrderMatches) {
   Rng rng(13);
   for (int i = 0; i < 10; ++i) {
@@ -279,8 +274,7 @@ TEST(TransitiveReduction, PrecomputedOrderMatches) {
     const auto order = topologicalOrder(g);
     ASSERT_TRUE(order.has_value());
     const auto a = transitiveReduction(g);
-    const auto b =
-        transitiveReduction(g, ReductionMethod::kBitset, *order);
+    const auto b = transitiveReduction(g, *order);
     ASSERT_EQ(a.numEdges(), b.numEdges());
     for (NodeId u = 0; u < g.numNodes(); ++u) {
       const auto ca = a.children(u);

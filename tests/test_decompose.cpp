@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <vector>
 
 #include "core/decompose.h"
+#include "core/prio.h"
 #include "dag/algorithms.h"
 #include "stats/rng.h"
 #include "theory/blocks.h"
@@ -165,6 +167,24 @@ TEST(Decompose, GeneralSearchHandlesCrossedCouple) {
   EXPECT_FALSE(d.components[0].bipartite);
 }
 
+// The general search keeps the smallest closure even when a larger one
+// was found first: b (id 0) closes over 4 nodes, a (id 4) over 3.
+TEST(Decompose, GeneralSearchKeepsTheSmallestClosure) {
+  Digraph g;
+  const NodeId b = g.addNode("b");
+  for (const char* name : {"p", "q", "r"}) g.addEdge(b, g.addNode(name));
+  const NodeId a = g.addNode("a");
+  const NodeId x = g.addNode("x"), y = g.addNode("y");
+  g.addEdge(a, x);
+  g.addEdge(a, y);
+  DecomposeOptions opt;
+  opt.bipartite_fast_path = false;
+  const auto d = decompose(g, opt);
+  ASSERT_EQ(d.components.size(), 2u);
+  EXPECT_EQ(d.components[0].nodes, (std::vector<NodeId>{a, x, y}));
+  EXPECT_EQ(d.components[1].nodes.size(), 4u);
+}
+
 TEST(Decompose, AirsnShape) {
   const auto g = prio::workloads::makeAirsn({10, 4});  // small AIRSN
   const auto d = decompose(g);
@@ -209,6 +229,41 @@ TEST(Decompose, IsolatedNodesBecomeGlobalSinkSingletons) {
   std::size_t scheduled = 0;
   for (const auto& c : d.components) scheduled += c.num_nonsinks;
   EXPECT_EQ(scheduled, 1u);  // only a
+}
+
+// Byte-for-byte pins of the priorities prioritize() gives the four paper
+// dags at their default (paper) sizes, plus Montage with the fast path off
+// so every round runs the general C(s) search. The constants are FNV-1a
+// digests of PrioResult::priority; any change to shortcut removal or the
+// closure search that moves a single priority breaks them.
+std::uint64_t priorityDigest(const Digraph& g, bool fast_path = true) {
+  PrioOptions options;
+  options.bipartite_fast_path = fast_path;
+  const auto result = prioritize(PrioRequest(g, options));
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::size_t p : result.priority) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (static_cast<std::uint64_t>(p) >> (8 * byte)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(DecomposePins, PaperDagPrioritiesAreByteIdentical) {
+  EXPECT_EQ(priorityDigest(prio::workloads::makeAirsn()),
+            1182629327937124990ull);
+  EXPECT_EQ(priorityDigest(prio::workloads::makeInspiral()),
+            6158064555863706298ull);
+  EXPECT_EQ(priorityDigest(prio::workloads::makeMontage()),
+            804038334919088118ull);
+  EXPECT_EQ(priorityDigest(prio::workloads::makeSdss()),
+            13039793166976812734ull);
+}
+
+TEST(DecomposePins, MontageGeneralSearchPrioritiesAreByteIdentical) {
+  EXPECT_EQ(priorityDigest(prio::workloads::makeMontage(), false),
+            804038334919088118ull);
 }
 
 }  // namespace

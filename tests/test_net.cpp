@@ -1084,6 +1084,25 @@ TEST(NetServer, StatsCountConnections) {
   EXPECT_EQ(stats.responses_sent, 2u);
 }
 
+// A reply that drains in one write leaves the connection's epoll interest
+// as it was, so sequential requests on one connection make no
+// epoll_ctl calls: the count after 10 requests equals the count after 110.
+TEST(NetServer, SequentialRepliesMakeNoInterestUpdates) {
+  ServerFixture fixture;
+  net::Client client;
+  client.connect("127.0.0.1", fixture.port());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_EQ(client.call(kFig3).status, Status::kOk);
+  }
+  const std::uint64_t after_10 = fixture.server().stats().interest_updates;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(client.call(kFig3).status, Status::kOk);
+  }
+  const net::Server::Stats stats = fixture.server().stats();
+  EXPECT_EQ(stats.interest_updates, after_10);
+  EXPECT_EQ(stats.responses_sent, 110u);
+}
+
 // ----------------------------------------------------------------- tenants
 
 // Version negotiation end to end: a raw v1 frame (the PR 1-5 wire

@@ -222,16 +222,20 @@ class PrioOptionMatrix : public ::testing::TestWithParam<int> {};
 TEST_P(PrioOptionMatrix, AllOptionCombinationsProduceValidSchedules) {
   const int mask = GetParam();
   PrioOptions opt;
-  opt.reduction_method = (mask & 1) ? ReductionMethod::kEdgeDfs
-                                    : ReductionMethod::kBitset;
   opt.bipartite_fast_path = (mask & 2) != 0;
   opt.combine_strategy = (mask & 4) ? CombineStrategy::kNaiveQuadratic
                                     : CombineStrategy::kBTreeClasses;
   opt.greedy_bipartite_fallback = (mask & 8) != 0;
   Rng rng(25);
   const auto g = prio::workloads::randomComposable(20, rng);
-  const auto r = prioritize(PrioRequest(g, opt));
+  // Bit 0: step 1 runs inside prioritize() or arrives precomputed, as the
+  // service supplies it; the schedule must not depend on which.
+  const Digraph reduced = transitiveReduction(g);
+  PrioRequest request(g, opt);
+  if ((mask & 1) != 0) request.reduced = &reduced;
+  const auto r = prioritize(request);
   EXPECT_TRUE(isTopologicalOrder(g, r.schedule));
+  EXPECT_EQ(r.schedule, prioritize(PrioRequest(g, opt)).schedule);
 }
 
 INSTANTIATE_TEST_SUITE_P(Masks, PrioOptionMatrix, ::testing::Range(0, 16));
